@@ -270,6 +270,8 @@ def cmd_hierarchy(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     if len(dims) != 2:
         raise DomainError(f"--dims must name two subsystems, got {args.dims!r}")
+    if sf.dims is not None and sf.dims != dims:
+        raise DomainError(f"--dims {args.dims} disagrees with the state file's dims {list(sf.dims)}")
     budget = Budget(args.restarts, args.refine)
     # the chain inequalities are certified at any simplex budget; keep the
     # inner minimizations light so nested searches stay interactive

@@ -6,8 +6,6 @@ hierarchy checks."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +14,7 @@ import numpy as np
 from . import coherence, linalg, purity, states
 from .linalg import DomainError, ValidationError, dagger
 from .simplex import SimplexOptConfig, get_distance
-from .states import DensityMatrix, mutual_information, validate
+from .states import DensityMatrix, validate
 from .states import _trusted
 
 __all__ = [
@@ -54,15 +52,6 @@ class OptResult:
     restarts: int
     evals: int
     improved_by_refinement: float
-
-
-def max_threads() -> int:
-    """Internal parallelism cap from the COHPURE_THREADS environment
-    variable (default 1: fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("COHPURE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _generator_specs(d: int):
@@ -151,13 +140,7 @@ def unitary_maximize(
     for _ in range(budget.restarts):
         candidates.append(tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims))
 
-    workers = max_threads()
-    fulls = [_compose(f) for f in candidates]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(conj_value, fulls))
-    else:
-        values = [conj_value(f) for f in fulls]
+    values = [conj_value(_compose(f)) for f in candidates]
     evals = len(values)
     best_idx = int(np.argmax(values))
     best_val = values[best_idx]
@@ -304,7 +287,15 @@ def i_max_check(
     da, db = int(dims[0]), int(dims[1])
     if da != db:
         raise ValidationError("dimension", message=f"equal subsystems required, got {dims}")
-    res = unitary_maximize(lambda s: mutual_information(s, dims), rho, budget=budget, rng=rng)
+    # the spectrum, and so S(U rho U^dag) = S(rho), is invariant: only the
+    # marginal entropies change along the search
+    s_rho = states.von_neumann(rho)
+
+    def mutual_info(state):
+        sa, sb = states._marginal_entropies(state, dims)
+        return max(sa + sb - s_rho, 0.0)
+
+    res = unitary_maximize(mutual_info, rho, budget=budget, rng=rng)
     pr = purity.p_rel_entropy(rho)
     return IMaxCheck(res.best_value, pr, pr - res.best_value)
 

@@ -87,8 +87,23 @@ def read_state(path) -> StateFile:
         )
     if "dim" not in doc or "matrix" not in doc:
         raise ValidationError("statefile", message="state file requires 'dim' and 'matrix'")
+    dim = _integer(doc["dim"], "dim")
     m = _decode_matrix(doc["matrix"])
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != int(doc["dim"]):
-        raise ValidationError("statefile", message=f"matrix shape {m.shape} does not match dim {doc['dim']}")
-    dims = tuple(int(x) for x in doc["dims"]) if "dims" in doc else None
-    return StateFile(matrix=m, dim=int(doc["dim"]), label=doc.get("label"), dims=dims)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != dim:
+        raise ValidationError("statefile", message=f"matrix shape {m.shape} does not match dim {dim}")
+    dims = None
+    if "dims" in doc:
+        raw = doc["dims"]
+        dims = tuple(_integer(x, "dims") for x in raw) if isinstance(raw, list) else ()
+        if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] != dim:
+            raise ValidationError(
+                "statefile", message=f"dims {raw!r} must be two positive integers with product dim {dim}"
+            )
+    return StateFile(matrix=m, dim=dim, label=doc.get("label"), dims=dims)
+
+
+def _integer(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("statefile", message=f"'{field}' must be an integer, got {value!r}") from exc

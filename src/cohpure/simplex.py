@@ -1,18 +1,22 @@
 """Minimization of contractive distances over the probability simplex of
 diagonal (incoherent) states.
 
-The optimizer is exponentiated-gradient mirror descent with multiple
-starts (Dirichlet draws plus the dephased state and the uniform point),
-step halving on non-improvement, and monotone acceptance: the returned
-value never exceeds the objective at any start, which downstream code
-relies on for certified upper bounds. A dense grid search over the
-simplex serves as the independent verification oracle at small dimension.
+Where the minimum has a closed form (the relative entropy, Schatten-2,
+Petz--Renyi orders in (0,1), and the trace norm and fidelity on qubits),
+the distance's ``closed_form_minimizer`` gives it exactly. Otherwise the
+optimizer is exponentiated-gradient mirror descent with multiple starts
+(Dirichlet draws plus the dephased state and the uniform point), step
+halving on non-improvement, and monotone acceptance: the returned value
+never exceeds the objective at any start, which downstream code relies
+on for certified upper bounds. Mirror descent also serves the tests as
+the oracle for the closed forms, and a dense grid search over the
+simplex as the independent verification oracle at small dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +59,12 @@ class Distance:
     def between(self, rho, sigma) -> float:
         raise NotImplementedError
 
+    def closed_form_minimizer(self, rho):
+        """Return (value, q): the exact minimum over diagonal states and a
+        minimizer, where a formula is known for rho; else None, and
+        :func:`minimize_diag` runs mirror descent."""
+        return None
+
     def diag_objective(self, rho, mu: float = 0.0):
         """Return (value, value_and_grad) closures over batches Q of shape
         (R, d), rows on the simplex. ``mu`` is the smoothing width for
@@ -69,9 +79,9 @@ class RelEntropyDistance(Distance):
         return linalg.rel_entropy(rho, sigma)
 
     def closed_form_minimizer(self, rho):
-        m = as_matrix(rho)
-        q = np.clip(np.real(np.diagonal(m)), 0.0, None)
-        return q / q.sum()
+        q = _dephased(rho)
+        value, _ = self.diag_objective(rho)
+        return max(float(value(q[None, :])[0]), 0.0), q
 
     def diag_objective(self, rho, mu: float = 0.0):
         m = as_matrix(rho)
@@ -110,13 +120,26 @@ class SchattenDistance(Distance):
     def between(self, rho, sigma):
         return linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), self.p)
 
+    def closed_form_minimizer(self, rho):
+        m = as_matrix(rho)
+        if self.p == 2.0:
+            # ||rho - diag q||_2^2 = (off-diagonal mass) + |q - diag rho|^2
+            q = _dephased(m)
+            value, _ = self.diag_objective(m)
+            return float(value(q[None, :])[0]), q
+        if self.p == 1.0 and m.shape[0] == 2:
+            # rho - diag q has eigenvalues +-sqrt(t^2 + |rho_01|^2), with t
+            # the diagonal mismatch: the minimum C_l1 sits at t = 0
+            return float(abs(m[0, 1]) + abs(m[1, 0])), _dephased(m)
+        return None
+
     def diag_objective(self, rho, mu: float = 0.0):
         m = as_matrix(rho)
         d = m.shape[0]
         p = self.p
         if p == 2.0:
             r = np.real(np.diagonal(m))
-            off = float(np.sum(np.abs(m) ** 2) - np.sum(r**2))
+            off = float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
 
             def value2(Q):
                 return np.sqrt(off + np.sum((Q - r[None, :]) ** 2, axis=1))
@@ -178,6 +201,26 @@ class OneMinusFidelityDistance(Distance):
     def between(self, rho, sigma):
         return 1.0 - linalg.fidelity(rho, sigma)
 
+    def closed_form_minimizer(self, rho):
+        m = as_matrix(rho)
+        if m.shape[0] != 2:
+            return None
+        # qubits (Streltsov et al., PRL 115, 020403 (2015)): the maximal
+        # fidelity is (1 + sqrt(1 - C_l1^2)) / 2, attained at
+        # q_0 = (1 + s) / 2 with s = (rho_00 - rho_11) / sqrt(1 - C_l1^2).
+        # The value is the formula's: the objective's matrix square root
+        # of a pure state carries ~1e-8 of eigenvalue dust. At unit trace
+        # 1 - C_l1^2 = z^2 + 4 det(rho), which stays exact on pure states.
+        z = float(np.real(m[0, 0] - m[1, 1]))
+        det = float(np.real(m[0, 0] * m[1, 1])) - abs(m[0, 1]) * abs(m[1, 0])
+        root = min(math.sqrt(max(z * z + 4.0 * det, 0.0)), 1.0)
+        if root == 0.0:
+            q = _dephased(m)
+        else:
+            s = min(max(z / root, -1.0), 1.0)
+            q = np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
+        return (1.0 - root) / 2.0, q
+
     def diag_objective(self, rho, mu: float = 0.0):
         sq = linalg.mat_sqrt(as_matrix(rho))
 
@@ -219,12 +262,19 @@ class PetzAlphaDivergence(Distance):
     def between(self, rho, sigma):
         return linalg.renyi_divergence(rho, sigma, self.alpha)
 
+    def closed_form_minimizer(self, rho):
+        a = self.alpha
+        if a > 1.0:
+            return None
+        # Hoelder: sum_i c_i q_i^(1-a) <= (sum_i c_i^(1/a))^a with c the
+        # diagonal of rho^a, attained at q_i proportional to c_i^(1/a)
+        w = _diag_power(rho, a) ** (1.0 / a)
+        total = float(w.sum())
+        return a / (a - 1.0) * math.log2(total), w / total
+
     def diag_objective(self, rho, mu: float = 0.0):
         a = self.alpha
-        es = linalg.hermitian_eig(rho)
-        pv = np.clip(es.values, 0.0, None)
-        pa = np.where(pv > 0, pv**a, 0.0)
-        coeff = np.einsum("k,ik->i", pa, np.abs(es.vectors) ** 2)  # diag of rho^alpha
+        coeff = _diag_power(rho, a)
 
         def value(Q):
             with np.errstate(divide="ignore", over="ignore"):
@@ -240,6 +290,14 @@ class PetzAlphaDivergence(Distance):
             return v, np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
         return value, value_and_grad
+
+
+def _diag_power(rho, a: float) -> np.ndarray:
+    """Diagonal of rho^a, with rho's eigenvalues clipped at zero."""
+    es = linalg.hermitian_eig(rho)
+    pv = np.clip(es.values, 0.0, None)
+    pa = np.where(pv > 0, pv**a, 0.0)
+    return np.einsum("k,ik->i", pa, np.abs(es.vectors) ** 2)
 
 
 class SandwichedAlphaDivergence(Distance):
@@ -259,6 +317,32 @@ class SandwichedAlphaDivergence(Distance):
         beta = (1.0 - a) / (2.0 * a)
         m = as_matrix(rho)
 
+        def _finish(t):
+            with np.errstate(divide="ignore"):
+                return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
+
+        if a == 2.0:
+            # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a
+            # quadratic form, no eigendecomposition
+            A = np.abs(m) ** 2
+
+            def _trace_sq(Q):
+                w = 1.0 / np.sqrt(Q)
+                Aw = np.einsum("ij,rj->ri", A, w)
+                return w, Aw, np.einsum("ri,ri->r", w, Aw)
+
+            def value2(Q):
+                return _finish(_trace_sq(Q)[2])
+
+            def value_and_grad2(Q):
+                w, Aw, t = _trace_sq(Q)
+                # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    g = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
+                return _finish(t), np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+
+            return value2, value_and_grad2
+
         def _decompose(Q):
             w = Q**beta
             M = m[None, :, :] * (w[:, :, None] * w[:, None, :])
@@ -266,21 +350,19 @@ class SandwichedAlphaDivergence(Distance):
             lam, vec = np.linalg.eigh(M)
             return np.clip(lam, 0.0, None), vec
 
-        def _finish(t):
-            with np.errstate(divide="ignore"):
-                return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
-
         def value(Q):
             lam, _ = _decompose(Q)
-            return _finish(np.sum(lam**a, axis=1))
+            # extreme orders overflow lam^a to inf, which the value reports
+            with np.errstate(over="ignore"):
+                return _finish(np.sum(lam**a, axis=1))
 
         def value_and_grad(Q):
             lam, vec = _decompose(Q)
-            la = lam**a
-            t = np.sum(la, axis=1)
-            # diag of M^alpha, then dT/dq_i = 2 a beta (M^alpha)_ii / q_i
-            diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                la = lam**a
+                t = np.sum(la, axis=1)
+                # diag of M^alpha, then dT/dq_i = 2 a beta (M^alpha)_ii / q_i
+                diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
                 dt = 2.0 * a * beta * diag_ma / Q
                 g = dt / ((a - 1.0) * LN2 * np.maximum(t, 1e-300))[:, None]
             return _finish(t), np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
@@ -324,9 +406,6 @@ class SimplexOptConfig:
     polish: bool = True
 
 
-LIGHT_OPT = SimplexOptConfig(restarts=4, max_iter=800)
-
-
 @dataclass(frozen=True)
 class SimplexResult:
     value: float
@@ -336,12 +415,14 @@ class SimplexResult:
     evals: int
 
 
+def _dephased(rho) -> np.ndarray:
+    q = np.clip(np.real(np.diagonal(as_matrix(rho))), 0.0, None)
+    return q / q.sum()
+
+
 def _starts(rho, cfg: SimplexOptConfig) -> np.ndarray:
-    m = as_matrix(rho)
-    d = m.shape[0]
-    rows = [np.full(d, 1.0 / d)]
-    dephased = np.clip(np.real(np.diagonal(m)), 0.0, None)
-    rows.append(dephased / dephased.sum())
+    d = as_matrix(rho).shape[0]
+    rows = [np.full(d, 1.0 / d), _dephased(rho)]
     if cfg.restarts > 0:
         rng = np.random.default_rng(cfg.seed)
         rows.extend(rng.dirichlet(np.ones(d)) for _ in range(cfg.restarts))
@@ -352,7 +433,8 @@ def _starts(rho, cfg: SimplexOptConfig) -> np.ndarray:
 def _eg_stage(value, value_and_grad, Q, cfg, max_iter, rel_tol):
     """One exponentiated-gradient descent run over a batch of starts with
     per-row step halving; mutates and returns (Q, V, iterations, evals,
-    all_done)."""
+    all_done). Rows never interact, so each iteration evaluates only the
+    rows that are still running; ``evals`` counts those evaluations."""
     R = Q.shape[0]
     V = value(Q)
     eta = np.full(R, cfg.step0)
@@ -363,32 +445,52 @@ def _eg_stage(value, value_and_grad, Q, cfg, max_iter, rel_tol):
     it = 0
     while it < max_iter and not done.all():
         it += 1
-        _, G = value_and_grad(Q)
+        live = np.flatnonzero(~done)
+        Ql, Vl, el = Q[live], V[live], eta[live]
+        _, G = value_and_grad(Ql)
         G = np.where(np.isfinite(G), G, 0.0)
-        expo = -eta[:, None] * (G - G.mean(axis=1, keepdims=True))
-        Qn = Q * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
+        expo = -el[:, None] * (G - G.mean(axis=1, keepdims=True))
+        Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
         Qn = np.clip(Qn, 1e-300, None)
         Qn /= Qn.sum(axis=1, keepdims=True)
         Vn = value(Qn)
-        evals += 2 * R
-        better = (Vn < V) & ~done
-        meaningful = (V - Vn) > rel_tol * np.maximum(1.0, np.abs(V))
-        Q[better] = Qn[better]
-        V[better] = Vn[better]
-        stall = np.where(better & meaningful, 0, stall)
-        stall = np.where(better & ~meaningful, stall + 1, stall)
-        fails = np.where(better, 0, fails + 1)
-        eta = np.where(better, np.minimum(eta * 1.25, 8.0 * cfg.step0), eta)
-        fail = ~better & ~done
-        eta = np.where(fail, eta / 2.0, eta)
-        done |= eta < cfg.min_step
-        done |= stall >= 3
-        done |= fails >= 14
+        evals += 2 * live.size
+        better = Vn < Vl
+        # rows whose objective is infinite throughout (inf - inf) are never better
+        with np.errstate(invalid="ignore"):
+            meaningful = (Vl - Vn) > rel_tol * np.maximum(1.0, np.abs(Vl))
+        Q[live[better]] = Qn[better]
+        V[live[better]] = Vn[better]
+        sl = stall[live]
+        stall[live] = np.where(better, np.where(meaningful, 0, sl + 1), sl)
+        fails[live] = np.where(better, 0, fails[live] + 1)
+        eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * cfg.step0), el / 2.0)
+        done[live] = (eta[live] < cfg.min_step) | (stall[live] >= 3) | (fails[live] >= 14)
     return Q, V, it, evals, bool(done.all())
 
 
 def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> SimplexResult:
     """Minimize distance(rho, diag(q)) over the probability simplex.
+
+    The distance's closed form gives the exact minimum where one applies;
+    otherwise :func:`_mirror_descent` runs. A non-finite value is never
+    reported as converged.
+    """
+    distance = get_distance(distance)
+    closed = distance.closed_form_minimizer(rho)
+    if closed is None:
+        res = _mirror_descent(rho, distance, cfg or SimplexOptConfig())
+    else:
+        value, q = closed
+        res = SimplexResult(value, q, True, 0, 1)
+    if not math.isfinite(res.value):
+        return replace(res, converged=False)
+    return res
+
+
+def _mirror_descent(rho, distance: Distance, cfg: SimplexOptConfig) -> SimplexResult:
+    """Multi-start mirror descent, the path for distances without a closed
+    form and the tests' oracle for those with one.
 
     Non-smooth distances run through their annealed smoothing schedule
     with warm starts. The final selection always re-includes the raw
@@ -396,14 +498,6 @@ def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> Simplex
     the objective at the uniform or dephased starts regardless of where
     the smoothed stages wandered.
     """
-    cfg = cfg or SimplexOptConfig()
-    distance = get_distance(distance)
-    if isinstance(distance, RelEntropyDistance):
-        q = distance.closed_form_minimizer(rho)
-        value, _ = distance.diag_objective(rho)
-        v = float(value(q[None, :])[0])
-        return SimplexResult(max(v, 0.0), q, True, 0, 1)
-
     starts = _starts(rho, cfg)
     schedule = distance.smoothing or (0.0,)
     stage_iters = max(cfg.max_iter // len(schedule), 50)

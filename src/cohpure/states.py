@@ -209,13 +209,20 @@ def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
     return math.log2(float(np.sum(nz**alpha))) / (1.0 - alpha)
 
 
+def _marginal_entropies(rho: DensityMatrix, dims) -> tuple:
+    """(S(rho_A), S(rho_B)) in bits for a bipartite state."""
+    m = as_matrix(rho)
+    ra = linalg.partial_trace(m, 0, dims)
+    rb = linalg.partial_trace(m, 1, dims)
+    sa = entropy_bits(np.clip(np.linalg.eigvalsh(ra), 0.0, None))
+    sb = entropy_bits(np.clip(np.linalg.eigvalsh(rb), 0.0, None))
+    return sa, sb
+
+
 def mutual_information(rho: DensityMatrix, dims) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho) for a bipartite state."""
     rho = _as_state(rho)
-    ra = linalg.partial_trace(rho.mat, 0, dims)
-    rb = linalg.partial_trace(rho.mat, 1, dims)
-    sa = entropy_bits(np.clip(np.linalg.eigvalsh(ra), 0.0, None))
-    sb = entropy_bits(np.clip(np.linalg.eigvalsh(rb), 0.0, None))
+    sa, sb = _marginal_entropies(rho, dims)
     return max(sa + sb - von_neumann(rho), 0.0)
 
 

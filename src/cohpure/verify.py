@@ -523,4 +523,6 @@ def run_suite(name: str, seed: int = 1, trials: int | None = None) -> SuiteRepor
     fn = SUITES[name]
     if trials is None:
         return fn(seed=seed)
+    if trials < 1:
+        raise DomainError(f"trials must be positive, got {trials}")
     return fn(seed=seed, trials=trials)

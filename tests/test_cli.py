@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,50 @@ class TestQuantify:
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["optimizer_flagged"] is True
+
+    def test_non_finite_value_is_flagged(self, state_files, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = climod.main(["quantify", "--state", str(state_files / "mixed2.json"), "--alpha", "1e308"])
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        block = doc["coherence"]["c_alpha"]["1e+308"]
+        assert not math.isfinite(block["value"]) and block["converged"] is False
+        assert doc["optimizer_flagged"] is True
+
+
+class TestMalformedInput:
+    def _exit_and_error(self, argv, capsys):
+        code = climod.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def _state(self, tmp_path, **fields):
+        doc = {"schema_version": "cohpure-state-1", "dim": 2,
+               "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], **fields}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_non_integer_dim(self, tmp_path, capsys):
+        err = self._exit_and_error(["quantify", "--state", self._state(tmp_path, dim="abc")], capsys)
+        assert "dim" in err
+
+    def test_dims_not_multiplying_to_dim(self, tmp_path, capsys):
+        err = self._exit_and_error(["quantify", "--state", self._state(tmp_path, dims=[3, 3])], capsys)
+        assert "dims" in err
+
+    def test_hierarchy_dims_disagree_with_file(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        io.write_state(path, pure([1, 0, 0, 1]), dims=(2, 2))
+        err = self._exit_and_error(["hierarchy", "--state", str(path), "--dims", "4,1"], capsys)
+        assert "dims" in err
+
+    def test_negative_trials(self, capsys):
+        err = self._exit_and_error(["verify", "--suite", "majorization", "--trials", "-3"], capsys)
+        assert "trials" in err
 
 
 class TestMcms:

@@ -103,14 +103,6 @@ class TestUnitaryMaximize:
         with pytest.raises(DomainError):
             unitary_maximize(c_rel_entropy, maximally_mixed(2), budget=Budget(0, 0), rng=stream(0))
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        rho = random_density(3, 2, stream(30))
-        sequential = unitary_maximize(c_rel_entropy, rho, budget=Budget(8, 2), rng=stream(31))
-        monkeypatch.setenv("COHPURE_THREADS", "4")
-        threaded = unitary_maximize(c_rel_entropy, rho, budget=Budget(8, 2), rng=stream(31))
-        assert threaded.best_value == sequential.best_value
-        assert np.array_equal(threaded.best_unitary, sequential.best_unitary)
-
 
 class TestNegativity:
     def test_bell(self):

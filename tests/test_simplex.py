@@ -2,14 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohpure.linalg import DomainError, stream
+from cohpure.linalg import DomainError, haar_unitary, stream
 from cohpure.simplex import (
+    LN2,
     MENU,
     OneMinusFidelityDistance,
     PetzAlphaDivergence,
     SandwichedAlphaDivergence,
     SchattenDistance,
+    SimplexOptConfig,
+    _eg_stage,
+    _grid_eval,
+    _mirror_descent,
+    _starts,
     get_distance,
     grid_minimize,
     minimize_diag,
@@ -129,6 +137,140 @@ class TestMinimizeDiag:
     def test_maximally_mixed_is_fixed_point(self):
         for name in MENU:
             assert minimize_diag(maximally_mixed(3).mat, name).value <= 1e-9
+
+
+# every closed form, with the one dimension it is limited to (None: any)
+CLOSED_FORMS = [
+    (get_distance("rel_entropy"), None),
+    (SchattenDistance(2.0), None),
+    (PetzAlphaDivergence(0.5), None),
+    (PetzAlphaDivergence(0.2), None),
+    (SchattenDistance(1.0), 2),
+    (OneMinusFidelityDistance(), 2),
+]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("dist,max_d", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_agrees_with_mirror_descent_and_grid(self, dist, max_d, d):
+        if max_d is not None and d > max_d:
+            assert dist.closed_form_minimizer(random_density(d, d, stream(1)).mat) is None
+            return
+        rng = stream(40 + d)
+        for rank in range(1, d + 1):
+            # on pure states the optimizers' fidelity objective, through the
+            # matrix square root, reads up to ~2e-8 below the exact value
+            slack = 1e-7 if isinstance(dist, OneMinusFidelityDistance) and rank < d else 1e-9
+            for _ in range(3):
+                rho = random_density(d, rank, rng).mat
+                value, q = dist.closed_form_minimizer(rho)
+                oracle = _mirror_descent(rho, dist, SimplexOptConfig())
+                assert value <= oracle.value + slack
+                assert value >= oracle.value - 1e-7
+                grid, _ = grid_minimize(rho, dist, resolution=1e-4 if d == 2 else 2e-3)
+                assert value <= grid + slack
+                assert value >= grid - (1e-3 if d == 2 else 1e-2)
+                res = minimize_diag(rho, dist)
+                assert (res.value, res.iterations, res.converged) == (value, 0, True)
+                assert np.array_equal(res.q, q)
+
+    def test_fidelity_formula_on_pure_qubits(self):
+        # F(psi, diag q) = sum_i q_i |psi_i|^2 peaks at the heavier vertex
+        rng = stream(44)
+        for _ in range(20):
+            rho = random_density(2, 1, rng).mat
+            value, q = OneMinusFidelityDistance().closed_form_minimizer(rho)
+            p = np.real(np.diagonal(rho))
+            assert abs(value - p.min()) <= 1e-12
+            assert np.allclose(q, p == p.max(), atol=1e-6)
+
+
+@st.composite
+def edge_states(draw):
+    """Density matrices at the edges of the state space: d = 1,
+    rank-deficient, degenerate spectra, and near-PSD matrices whose
+    smallest eigenvalues are round-off negatives."""
+    d = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, d))
+    kind = draw(st.sampled_from(["generic", "degenerate", "near_psd"]))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=rank, max_size=rank)))
+    if kind == "degenerate":
+        weights = np.full(rank, weights[0])
+    spec = np.zeros(d)
+    spec[:rank] = weights / weights.sum()
+    if kind == "near_psd" and rank < d:
+        spec[rank:] = -draw(st.floats(1e-16, 1e-12))
+    u = haar_unitary(d, stream(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        u = np.eye(d)  # incoherent eigenbasis
+    m = (u * spec) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dist,max_d", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rho=edge_states())
+def test_closed_form_properties(dist, max_d, rho):
+    d = rho.shape[0]
+    closed = dist.closed_form_minimizer(rho)
+    if max_d is not None and d != max_d:
+        assert closed is None
+        return
+    value, q = closed
+    assert np.all(q >= 0) and abs(q.sum() - 1.0) <= 1e-12
+    assert math.isfinite(value) and value >= -1e-12
+    if d == 1:
+        assert abs(value) <= 1e-12 and q.tolist() == [1.0]
+        return
+    # measured by the optimizers' own objective, so that both sides carry
+    # the same eigenvalue dust (fractional powers amplify it, and the
+    # fidelity formula bypasses the matrix square root)
+    objective, _ = dist.diag_objective(rho)
+    tol = 1e-7 if isinstance(dist, OneMinusFidelityDistance) else 1e-9
+    assert value <= objective(np.full((1, d), 1.0 / d))[0] + tol
+    assert abs(value - objective(q[None, :])[0]) <= tol
+
+
+class TestEgStage:
+    @pytest.mark.parametrize(
+        "dist,mu",
+        [(SchattenDistance(1.0), 0.0), (SchattenDistance(1.0), 1e-4), (SchattenDistance(3.0), 0.0),
+         (OneMinusFidelityDistance(), 0.0), (SandwichedAlphaDivergence(2.0), 0.0),
+         (SandwichedAlphaDivergence(3.0), 0.0)],
+        ids=lambda x: getattr(x, "name", str(x)),
+    )
+    def test_batch_rows_match_solo_runs(self, dist, mu):
+        cfg = SimplexOptConfig(restarts=6)
+        rng = stream(50)
+        for d, rank in ((3, 2), (4, 4)):
+            rho = random_density(d, rank, rng).mat
+            value, value_and_grad = dist.diag_objective(rho, mu=mu)
+            starts = _starts(rho, cfg)
+            Q, V, _, _, _ = _eg_stage(value, value_and_grad, starts.copy(), cfg, 400, 1e-10)
+            for i in range(starts.shape[0]):
+                Qi, Vi, _, _, _ = _eg_stage(value, value_and_grad, starts[i : i + 1].copy(), cfg, 400, 1e-10)
+                assert np.array_equal(Qi[0], Q[i]) and Vi[0] == V[i]
+
+
+def test_renyi2_quadratic_form_matches_eigendecomposition():
+    a, beta = 2.0, -0.25
+    rng = stream(60)
+    for d in (1, 2, 3, 5, 6):
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng).mat
+        Q = rng.dirichlet(np.ones(d), size=8)
+        value, value_and_grad = SandwichedAlphaDivergence(a).diag_objective(rho)
+        w = Q**beta
+        lam, vec = np.linalg.eigh(rho[None, :, :] * (w[:, :, None] * w[:, None, :]))
+        la = np.clip(lam, 0.0, None) ** a
+        t = la.sum(axis=1)
+        ref_v = np.log2(t) / (a - 1.0)
+        ref_g = 2 * a * beta * np.einsum("rik,rk->ri", np.abs(vec) ** 2, la) / Q / ((a - 1.0) * LN2 * t)[:, None]
+        v, g = value_and_grad(Q)
+        assert np.max(np.abs(value(Q) - ref_v)) <= 1e-13
+        assert np.max(np.abs(v - ref_v)) <= 1e-13
+        assert np.max(np.abs(g - ref_g)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref_g))))
+        assert np.max(np.abs(value(Q) - _grid_eval(rho, SandwichedAlphaDivergence(a), Q))) <= 1e-13
 
 
 class TestGridOracle:

@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg, simplex
 from .linalg import DomainError, ValidationError, as_matrix, dagger
 from .simplex import SimplexOptConfig, SimplexResult, get_distance
-from .states import DensityMatrix, Spectrum, _trusted, validate
+from .states import DensityMatrix, Spectrum, _as_state, _trusted, validate
 
 __all__ = [
     "Channel",
@@ -94,7 +94,7 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
 def c_rel_entropy(rho: DensityMatrix) -> float:
     """Relative entropy of coherence, via its closed form
     S(dephased) - S(rho)."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     p = np.clip(np.real(np.diagonal(rho.mat)), 0.0, None)
     s_deph = linalg.entropy_bits(p / p.sum())
     s_rho = linalg.entropy_bits(rho.spectrum.values)
@@ -108,7 +108,7 @@ def c_l1(rho: DensityMatrix) -> float:
 
 
 def c_distance_result(rho, distance, opt: SimplexOptConfig | None = None) -> SimplexResult:
-    res = simplex.minimize_diag(_state(rho).mat, get_distance(distance), opt)
+    res = simplex.minimize_diag(_as_state(rho).mat, get_distance(distance), opt)
     return _clip_dust(res)
 
 
@@ -128,7 +128,7 @@ def c_distance(rho, distance, opt: SimplexOptConfig | None = None) -> float:
 
 
 def c_alpha_result(rho, alpha: float, opt: SimplexOptConfig | None = None) -> SimplexResult:
-    rho = _state(rho)
+    rho = _as_state(rho)
     if alpha == 1.0:
         v = c_rel_entropy(rho)
         q = np.clip(np.real(np.diagonal(rho.mat)), 0.0, None)
@@ -184,7 +184,7 @@ def optimal_unitary(rho: DensityMatrix) -> np.ndarray:
     """Unitary sending the eigenbasis of rho (by descending eigenvalue)
     onto the Fourier basis; conjugation by it yields the MCMS of rho's
     spectrum, attaining the maximal coherence."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     es = rho.eigensystem.descending()
     f = fourier_basis(rho.dim).columns
     return f @ dagger(es.vectors)
@@ -232,7 +232,7 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 def c_max_closed(rho, distance) -> float:
     """Maximal coherence over the unitary orbit: the distance to the
     maximally mixed state, evaluated directly."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     eye = np.eye(rho.dim, dtype=complex) / rho.dim
     return get_distance(distance).between(rho.mat, eye)
 
@@ -275,7 +275,3 @@ def _require_unitary(u: np.ndarray, tol: float = UNITARY_TOL):
     dev = float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
     if dev > tol:
         raise ValidationError("unitary", dev)
-
-
-def _state(rho) -> DensityMatrix:
-    return rho if isinstance(rho, DensityMatrix) else validate(rho)

@@ -14,8 +14,7 @@ import numpy as np
 from . import coherence, linalg, purity, states
 from .linalg import DomainError, ValidationError, dagger
 from .simplex import SimplexOptConfig, get_distance
-from .states import DensityMatrix, validate
-from .states import _trusted
+from .states import DensityMatrix, _as_state, _trusted
 
 __all__ = [
     "OptResult",
@@ -115,7 +114,7 @@ def unitary_maximize(
     ``extra_candidates`` entries are single matrices for the global
     structure and (U_A, U_B) factor tuples for the product structure.
     """
-    rho = _state(rho)
+    rho = _as_state(rho)
     budget = Budget(*budget)
     if budget.restarts < 0 or budget.refine_iters < 0 or sum(budget) == 0:
         raise DomainError(f"budget must allow some work, got {budget}")
@@ -184,7 +183,7 @@ def unitary_maximize(
 
 def negativity(rho: DensityMatrix, dims) -> float:
     """Sum of the moduli of the negative partial-transpose eigenvalues."""
-    pt = linalg.partial_transpose(_state(rho).mat, 0, dims)
+    pt = linalg.partial_transpose(_as_state(rho).mat, 0, dims)
     vals = np.linalg.eigvalsh(pt)
     return float(-vals[vals < 0].sum())
 
@@ -203,7 +202,7 @@ class CnotActivation(NamedTuple):
 def cnot_activation(rho_a: DensityMatrix) -> CnotActivation:
     """Entangle a control qubit with a |0> target through CNOT; the output
     negativity equals half the l1-coherence of the control state."""
-    rho_a = _state(rho_a)
+    rho_a = _as_state(rho_a)
     if rho_a.dim != 2:
         raise ValidationError("dimension", message=f"control must be a qubit, got dim {rho_a.dim}")
     target = np.zeros((2, 2), dtype=complex)
@@ -225,7 +224,7 @@ def negativity_purity_bound(rho_a: DensityMatrix) -> NegativityBound:
     sqrt(1 - (1 - 2 P_g)^2); also reports the control's l1-coherence,
     which saturates the bound when the eigenbasis is maximally
     coherent."""
-    rho_a = _state(rho_a)
+    rho_a = _as_state(rho_a)
     act = cnot_activation(rho_a)
     pg = purity.p_geometric(rho_a)
     bound = math.sqrt(max(1.0 - (1.0 - 2.0 * pg) ** 2, 0.0))
@@ -236,7 +235,7 @@ def c_N(rho: DensityMatrix, dims, distance, opt: SimplexOptConfig | None = None)
     """Coherence with respect to the N-partite incoherent product basis;
     the product basis is the composite computational basis, so this is
     the composite-space distance-based coherence."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     da, db = int(dims[0]), int(dims[1])
     if da * db != rho.dim:
         raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
@@ -283,7 +282,7 @@ def i_max_check(
     """Maximal mutual information over global unitaries versus the
     relative entropy of purity; the search value is a lower bound, so
     gap >= 0 up to optimizer convergence."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     da, db = int(dims[0]), int(dims[1])
     if da != db:
         raise ValidationError("dimension", message=f"equal subsystems required, got {dims}")
@@ -328,7 +327,7 @@ def hierarchy_report(
     rng: np.random.Generator | None = None,
     opt: SimplexOptConfig | None = None,
 ) -> HierarchyReport:
-    rho = _state(rho)
+    rho = _as_state(rho)
     distance = get_distance(distance)
     p = purity.p_distance(rho, distance)
     cres = coherence.c_distance_result(rho, distance, opt)
@@ -369,7 +368,7 @@ def max_hierarchy_check(
     inner_budget=Budget(4, 2),
     opt: SimplexOptConfig | None = None,
 ) -> MaxHierarchyReport:
-    rho = _state(rho)
+    rho = _as_state(rho)
     distance = get_distance(distance)
     rng = rng if rng is not None else linalg.stream(0)
     p = purity.p_distance(rho, distance)
@@ -392,7 +391,3 @@ def max_hierarchy_check(
         d_max_lower=res_d.best_value,
         optimizer_gap=p - res_c.best_value,
     )
-
-
-def _state(rho) -> DensityMatrix:
-    return rho if isinstance(rho, DensityMatrix) else validate(rho)

@@ -23,6 +23,7 @@ __all__ = [
     "hermitian_eig",
     "mat_func",
     "mat_sqrt",
+    "drop_dust",
     "mat_power",
     "schatten_norm",
     "trace_norm",
@@ -43,6 +44,7 @@ HERM_TOL = 1e-9        # max-abs Hermiticity tolerance
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP, 0) are round-off, clipped
 SUPPORT_TOL = 1e-10    # eigenvalue threshold for support membership
 PHASE_TOL = 1e-8       # first eigenvector component above this sets the phase
+DUST_REL = 1e-13       # eigensolver round-off floor, relative to the largest
 LN2 = math.log(2.0)
 
 
@@ -176,11 +178,21 @@ def _reject_sqrt(x):
     raise DomainError(f"sqrt of eigenvalue {x} below -{PSD_CLIP}")
 
 
+def drop_dust(values) -> np.ndarray:
+    """Eigenvalues clipped at 0, with those at or below DUST_REL times the
+    largest set to 0: fractional powers would otherwise amplify round-off
+    (a pure state's 1e-17 dust eigenvalue becomes 4e-4 at power 0.2)."""
+    v = np.clip(values, 0.0, None)
+    if v.size:
+        v[v <= DUST_REL * float(v.max())] = 0.0
+    return v
+
+
 def mat_power(m, a: float) -> np.ndarray:
     """Hermitian matrix power with 0**a = 0 for a > 0 (pseudo-power on the
     support for a < 0)."""
     es = hermitian_eig(m)
-    vals = np.clip(es.values, 0.0, None)
+    vals = drop_dust(es.values)
     if np.any(es.values < -PSD_CLIP):
         raise DomainError(f"negative eigenvalue {es.values.min()} under power {a}")
     out = np.zeros_like(vals)

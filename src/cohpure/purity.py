@@ -12,7 +12,7 @@ import numpy as np
 from . import coherence, linalg, majorization, states
 from .coherence import Channel, mcms
 from .linalg import DomainError
-from .states import DensityMatrix, random_density, renyi_entropy, validate
+from .states import DensityMatrix, _as_state, random_density, renyi_entropy, validate
 
 __all__ = [
     "PurityReport",
@@ -36,7 +36,7 @@ ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 def p_alpha(rho: DensityMatrix, alpha: float) -> float:
     """Renyi alpha-purity log2(d) - S_alpha(rho); nondecreasing in alpha,
     0 at the maximally mixed state, log2(d) on pure states."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     return max(math.log2(rho.dim) - renyi_entropy(rho, alpha), 0.0)
 
 
@@ -48,19 +48,19 @@ def p_rel_entropy(rho: DensityMatrix) -> float:
 
 def p_linear(rho: DensityMatrix) -> float:
     """Tr[rho^2], in [1/d, 1]."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     return float(np.sum(rho.spectrum.values ** 2))
 
 
 def p_2(rho: DensityMatrix) -> float:
     """log2(d * Tr[rho^2]), the collision-entropy purity."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     return max(math.log2(rho.dim * p_linear(rho)), 0.0)
 
 
 def p_geometric(rho: DensityMatrix) -> float:
     """1 - F(rho, 1/d) = 1 - (Tr sqrt(rho))^2 / d, in [0, 1 - 1/d]."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     tr_sqrt = float(np.sum(np.sqrt(rho.spectrum.values)))
     return min(max(1.0 - tr_sqrt**2 / rho.dim, 0.0), 1.0 - 1.0 / rho.dim)
 
@@ -68,14 +68,14 @@ def p_geometric(rho: DensityMatrix) -> float:
 def p_distance(rho: DensityMatrix, distance) -> float:
     """Distance-based purity D(rho, 1/d); no minimization is needed since
     the maximally mixed state is the unique free state."""
-    return coherence.c_max_closed(_state(rho), distance)
+    return coherence.c_max_closed(_as_state(rho), distance)
 
 
 def p_coherence_based(rho: DensityMatrix, quantifier) -> float:
     """Coherence-based purity: the chosen coherence quantifier evaluated
     on the MCMS of rho's spectrum (its maximum over unital channels when
     the quantifier is a MIO monotone)."""
-    rho = _state(rho)
+    rho = _as_state(rho)
     return float(quantifier(mcms(rho.spectrum, rho.dim)))
 
 
@@ -91,7 +91,7 @@ class PurityReport:
 
 
 def purity_report(rho: DensityMatrix) -> PurityReport:
-    rho = _state(rho)
+    rho = _as_state(rho)
     return PurityReport(
         p_alpha={a: p_alpha(rho, a) for a in ALPHA_GRID},
         p_geometric=p_geometric(rho),
@@ -217,7 +217,3 @@ def axiom_suite(
         checks.append(AxiomCheck("convexity", cv_ok, f"max violation = {cv_worst:.3g}", cv_bad))
 
     return AxiomReport(quantifier=name, dim=d, trials=trials, checks=tuple(checks))
-
-
-def _state(rho) -> DensityMatrix:
-    return rho if isinstance(rho, DensityMatrix) else validate(rho)

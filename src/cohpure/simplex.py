@@ -293,9 +293,9 @@ class PetzAlphaDivergence(Distance):
 
 
 def _diag_power(rho, a: float) -> np.ndarray:
-    """Diagonal of rho^a, with rho's eigenvalues clipped at zero."""
+    """Diagonal of rho^a, with rho's eigenvalue dust set to zero."""
     es = linalg.hermitian_eig(rho)
-    pv = np.clip(es.values, 0.0, None)
+    pv = linalg.drop_dust(es.values)
     pa = np.where(pv > 0, pv**a, 0.0)
     return np.einsum("k,ik->i", pa, np.abs(es.vectors) ** 2)
 
@@ -613,7 +613,7 @@ def _grid_eval(m: np.ndarray, distance: Distance, Q: np.ndarray) -> np.ndarray:
     if isinstance(distance, PetzAlphaDivergence):
         a = distance.alpha
         es = linalg.hermitian_eig(m)
-        pv = np.clip(es.values, 0.0, None)
+        pv = linalg.drop_dust(es.values)
         coeff = np.einsum("k,ik->i", np.where(pv > 0, pv**a, 0.0), np.abs(es.vectors) ** 2)
         out = np.full(Q.shape[0], np.inf)
         interior = (Q > 0).all(axis=1) if a > 1.0 else np.ones(Q.shape[0], dtype=bool)

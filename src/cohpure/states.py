@@ -28,7 +28,6 @@ __all__ = [
 TRACE_TOL = 1e-9
 MIN_EIG_TOL = 1e-10
 RANK_TOL_REL = 1e-9   # rank threshold, relative to the largest eigenvalue
-DUST_REL = 1e-13      # eigensolver round-off floor, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class Spectrum:
         total = float(v.sum())
         if abs(total - 1.0) > TRACE_TOL:
             raise ValidationError("trace", abs(total - 1.0))
-        if v.size:
-            v[v <= DUST_REL * float(v[0])] = 0.0
+        v = linalg.drop_dust(v)
         if v.sum() > 0:
             v = v / v.sum()
         tol = RANK_TOL_REL * float(v[0]) if v.size else 0.0

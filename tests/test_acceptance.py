@@ -1,36 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS line at
 its stated tolerance (run with ``pytest -s tests/test_acceptance.py`` to
-see the lines)."""
+see the lines).
 
-import math
-import subprocess
-import sys
-from pathlib import Path
+Criteria 1-8 draw their recorded samples here and evaluate them with the
+property checks of the ``cohpure verify`` suites, so each property and
+its tolerance has one implementation, in ``cohpure.verify``.
+"""
 
 import numpy as np
-import pytest
 
-from cohpure import coherence, correlations, linalg, majorization, states
-from cohpure.coherence import (
-    apply_channel,
-    c_alpha,
-    c_distance,
-    c_l1,
-    c_rel_entropy,
-    mcms,
-    mio_channel_from_mixture,
-    mio_channel_from_unitary,
-    optimal_unitary,
-    random_free_channel,
-)
-from cohpure.correlations import Budget, hierarchy_report, i_max_check, max_hierarchy_check, unitary_maximize
+from cohpure import linalg, verify
+from cohpure.coherence import apply_channel, c_distance, c_l1, mcms, mio_channel_from_unitary, optimal_unitary
+from cohpure.correlations import Budget, unitary_maximize
 from cohpure.linalg import haar_unitary, stream
-from cohpure.purity import ALPHA_GRID, axiom_suite, p_alpha, p_distance
-from cohpure.simplex import MENU, SimplexOptConfig, get_distance
-from cohpure.states import diagonal, random_density, renyi_entropy, validate, von_neumann
-
-FAST = SimplexOptConfig(restarts=4, max_iter=800)
-LIGHT = SimplexOptConfig(restarts=0, max_iter=300, polish=False)
+from cohpure.purity import p_distance
+from cohpure.simplex import MENU, get_distance
+from cohpure.states import diagonal, random_density, renyi_entropy, von_neumann
 
 
 def _seeded_states(seed, per_dim, dims):
@@ -42,221 +27,91 @@ def _seeded_states(seed, per_dim, dims):
     return out
 
 
+def _assert_pass(criterion, checks, note=""):
+    failed = [c for c in checks if not c.passed]
+    assert not failed, failed
+    print(f"[criterion {criterion}] PASS - " + "; ".join(f"{c.name}: {c.detail}" for c in checks) + note)
+
+
 def test_criterion_01_theorem2_exactness():
     states_list = _seeded_states(101, 40, (2, 3, 4, 5, 6))
     assert len(states_list) == 200
-    worst_closed = worst_opt = worst_exceed = 0.0
     rng = stream(102)
-    for rho in states_list:
-        v = optimal_unitary(rho)
-        rotated = validate(v @ rho.mat @ v.conj().T)
-        for name in MENU:
-            dist = get_distance(name)
-            ceiling = p_distance(rho, dist)
-            gap = abs(c_distance(rotated, dist, FAST) - ceiling)
-            if name == "rel_entropy":
-                worst_closed = max(worst_closed, gap)
-            else:
-                worst_opt = max(worst_opt, gap)
-            budget = Budget(2, 1) if name == "rel_entropy" else Budget(2, 0)
-            res = unitary_maximize(
-                lambda s, _d=dist: c_distance(s, _d, LIGHT), rho, budget=budget, rng=rng
-            )
-            worst_exceed = max(worst_exceed, res.best_value - ceiling)
+    checks = verify._cmax_identity(states_list, rng)
     # deeper search budgets on a subset, exercising the hill climb
+    worst_exceed = 0.0
     for rho in _seeded_states(103, 2, (2, 3, 4))[:8]:
         for name in MENU:
             dist = get_distance(name)
-            ceiling = p_distance(rho, dist)
             res = unitary_maximize(
-                lambda s, _d=dist: c_distance(s, _d, LIGHT), rho, budget=Budget(6, 4), rng=rng
+                lambda s, _d=dist: c_distance(s, _d, verify.ULTRA_OPT), rho, budget=Budget(6, 4), rng=rng
             )
-            worst_exceed = max(worst_exceed, res.best_value - ceiling)
-    assert worst_closed <= 1e-6
-    assert worst_opt <= 1e-4
+            worst_exceed = max(worst_exceed, res.best_value - p_distance(rho, dist))
     assert worst_exceed <= 1e-9
-    print(
-        f"[criterion 1] PASS - closed-form gap {worst_closed:.2e} <= 1e-6, optimizer gap "
-        f"{worst_opt:.2e} <= 1e-4, search excess {worst_exceed:.2e} <= 1e-9"
-    )
+    _assert_pass(1, checks, f"; Budget(6,4) search excess {worst_exceed:.2e} <= 1e-9")
 
 
 def test_criterion_02_theorem1_universality():
     rng = stream(201)
-    worst_closed = worst_opt = 0.0
+    cases = []
     for d in (2, 3, 4, 5):
-        spectrum = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-        rho_max = mcms(spectrum, d)
-        ceiling_r = c_rel_entropy(rho_max)
-        ceilings = {name: c_distance(rho_max, name, FAST) for name in MENU}
-        ceilings["a05"] = c_alpha(rho_max, 0.5, FAST)
-        ceilings["a2"] = c_alpha(rho_max, 2.0, FAST)
-        for _ in range(100):
-            u = haar_unitary(d, rng)
-            rotated = validate(u @ rho_max.mat @ u.conj().T)
-            worst_closed = max(worst_closed, c_rel_entropy(rotated) - ceiling_r)
-            for name in MENU:
-                worst_opt = max(worst_opt, c_distance(rotated, name, FAST) - ceilings[name])
-            worst_opt = max(worst_opt, c_alpha(rotated, 0.5, FAST) - ceilings["a05"])
-            worst_opt = max(worst_opt, c_alpha(rotated, 2.0, FAST) - ceilings["a2"])
-    assert worst_closed <= 1e-9
-    assert worst_opt <= 1e-4
-    print(
-        f"[criterion 2] PASS - no monotone exceeds its MCMS value: closed {worst_closed:.2e}, "
-        f"optimized {worst_opt:.2e}"
-    )
+        rho_max = mcms(np.sort(rng.dirichlet(np.ones(d)))[::-1], d)
+        cases.append((rho_max, [haar_unitary(d, rng) for _ in range(100)]))
+    _assert_pass(2, verify._mcms_universality(cases))
 
 
 def test_criterion_03_mio_channel_certification():
     rng = stream(301)
-    worst_free = worst_action = 0.0
+    cases = []
     for _ in range(50):
         d = int(rng.integers(2, 5))
         sigma = diagonal(rng.dirichlet(np.ones(d)))
-        spectrum = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-        rho_max = mcms(spectrum, d)
-
+        rho_max = mcms(np.sort(rng.dirichlet(np.ones(d)))[::-1], d)
         u = haar_unitary(d, rng)
-        ch = mio_channel_from_unitary(u)
-        worst_free = max(worst_free, float(np.max(np.abs(apply_channel(ch, sigma).mat - np.eye(d) / d))))
-        expect = u @ rho_max.mat @ u.conj().T
-        worst_action = max(worst_action, float(np.max(np.abs(apply_channel(ch, rho_max).mat - expect))))
-
-        k = int(rng.integers(2, 4))
-        ws = rng.dirichlet(np.ones(k))
-        us = [haar_unitary(d, rng) for _ in range(k)]
-        chm = mio_channel_from_mixture(ws, us)
-        worst_free = max(worst_free, float(np.max(np.abs(apply_channel(chm, sigma).mat - np.eye(d) / d))))
-        expect = sum(w * (uu @ rho_max.mat @ uu.conj().T) for w, uu in zip(ws, us))
-        worst_action = max(worst_action, float(np.max(np.abs(apply_channel(chm, rho_max).mat - expect))))
-    assert worst_free <= 1e-9
-    assert worst_action <= 1e-9
-    print(
-        f"[criterion 3] PASS - incoherent inputs map to 1/d within {worst_free:.2e}, "
-        f"MCMS action reproduced within {worst_action:.2e}"
-    )
+        ws = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        cases.append((sigma, rho_max, u, ws, [haar_unitary(d, rng) for _ in ws]))
+    _assert_pass(3, verify._mio_constructions(cases))
 
 
 def test_criterion_04_l1_mio_violation():
-    rho_max = mcms([0.5, 0.5, 0.0, 0.0], 4)
-    base = c_l1(rho_max)
-    # recorded seed: Haar mixture MIO construction
-    ch = random_free_channel("mio_construction", 4, stream(0))
-    increase = c_l1(apply_channel(ch, rho_max)) - base
-    assert increase >= 1e-3
+    checks = verify._l1_mio_instance()
     # recorded seeded search witness through the single-unitary construction
+    rho_max = mcms([0.5, 0.5, 0.0, 0.0], 4)
     res = unitary_maximize(c_l1, diagonal([0.5, 0.5, 0.0, 0.0]), budget=Budget(8, 10), rng=stream(4))
     v = optimal_unitary(diagonal([0.5, 0.5, 0.0, 0.0]))
     witness = res.best_unitary @ v.conj().T
-    searched = c_l1(apply_channel(mio_channel_from_unitary(witness), rho_max)) - base
+    searched = c_l1(apply_channel(mio_channel_from_unitary(witness), rho_max)) - c_l1(rho_max)
     assert searched >= 1e-3
-
     rng = stream(401)
-    worst_io = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 5))
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        kind = ("incoherent_unitary", "dephasing_mixture")[int(rng.integers(0, 2))]
-        out = apply_channel(random_free_channel(kind, d, rng), rho)
-        worst_io = max(worst_io, c_l1(out) - c_l1(rho))
-    assert worst_io <= 1e-9
-    print(
-        f"[criterion 4] PASS - recorded MIO instances raise l1 by {increase:.3f} and "
-        f"{searched:.3f} >= 1e-3; max IO increase {worst_io:.2e} <= 1e-9"
-    )
+    checks += verify._l1_io_monotone([verify._random_io_case(rng) for _ in range(200)])
+    _assert_pass(4, checks, f"; searched witness increase {searched:.3f} >= 1e-3")
 
 
 def test_criterion_05_majorization_formulas():
     rng = stream(501)
-    checked = 0
+    sample = []
     for d in range(2, 17):
         for child in rng.spawn(3):
-            rho = random_density(d, int(child.integers(1, d + 1)), child)
-            m_d = majorization.distillable_purity_1shot(rho)
-            feas = [m for m in range(m_d + 3) if majorization.brute_force_distill(rho, m).feasible]
-            assert max(feas) == m_d, (d, m_d, feas)
-            m_c = majorization.purity_cost_1shot(rho)
-            feas_c = [m for m in range(m_c + 3) if majorization.brute_force_cost(rho, m).feasible]
-            assert min(feas_c) == m_c, (d, m_c, feas_c)
-            for m in range(m_d + 2):
-                assert majorization.distill_feasible_scan(rho, m) == majorization.brute_force_distill(rho, m).feasible
-            for m in range(max(m_c - 1, 0), m_c + 2):
-                assert majorization.cost_feasible_scan(rho, m) == majorization.brute_force_cost(rho, m).feasible
-            checked += 1
-    print(f"[criterion 5] PASS - exact integer agreement with oracles and (d1,d2) scans on {checked} states")
+            sample.append(random_density(d, int(child.integers(1, d + 1)), child))
+    _assert_pass(5, verify._formula_oracle_agreement(sample), f" on {len(sample)} states, d = 2..16")
 
 
 def test_criterion_06_purity_axioms():
-    rng = stream(601)
-    for d in (2, 3, 4):
-        for a in ALPHA_GRID:
-            rep = axiom_suite(
-                lambda s, _a=a: p_alpha(s, _a),
-                d,
-                300,
-                rng.spawn(1)[0],
-                name=f"p_alpha[{a}]",
-                convexity=a <= 1.0,
-            )
-            assert rep.passed_all, (d, a, [c for c in rep.checks if not c.passed])
-    print("[criterion 6] PASS - P1-P4 and convexity hold for p_alpha on 300 trials per d in {2,3,4}")
+    _assert_pass(6, verify._p_alpha_axioms(stream(601), 300), " on 300 trials per (d, alpha)")
 
 
 def test_criterion_07_appendix_g_identities():
     rng = stream(701)
-    worst_id = worst_eq = worst_rel = 0.0
-    bound_ok = True
-    for _ in range(100):
-        rho = random_density(2, int(rng.integers(1, 3)), rng)
-        act = correlations.cnot_activation(rho)
-        worst_id = max(worst_id, abs(act.negativity - act.half_c_l1))
-        nb = correlations.negativity_purity_bound(rho)
-        bound_ok = bound_ok and nb.holds
-        cg = coherence.c_geometric(rho, FAST)
-        worst_rel = max(worst_rel, abs(c_l1(rho) - math.sqrt(max(1 - (1 - 2 * cg) ** 2, 0.0))))
-    plus = states.pure([1, 1]).mat
-    minus = states.pure([1, -1]).mat
-    for _ in range(100):
-        lam = 0.5 + 0.5 * float(rng.random())
-        rho = validate(lam * plus + (1 - lam) * minus)
-        nb = correlations.negativity_purity_bound(rho)
-        worst_eq = max(worst_eq, abs(nb.c_l1 - nb.bound))
-    assert worst_id <= 1e-10
-    assert bound_ok
-    assert worst_eq <= 1e-9
-    assert worst_rel <= 1e-4
-    print(
-        f"[criterion 7] PASS - N = C_l1/2 within {worst_id:.2e}; bound holds; eigenbasis equality "
-        f"{worst_eq:.2e} <= 1e-9; qubit C_g relation {worst_rel:.2e} <= 1e-4"
-    )
+    checks = verify._cnot_identities([random_density(2, int(rng.integers(1, 3)), rng) for _ in range(100)])
+    checks += verify._eigenbasis_saturation([0.5 + 0.5 * float(rng.random()) for _ in range(100)])
+    _assert_pass(7, checks)
 
 
 def test_criterion_08_hierarchies():
-    states_list = _seeded_states(801, 100, (4,))
-    rng = stream(802)
-    chain_ok = max_ok = True
-    for rho in states_list:
-        for name in MENU:
-            rep = hierarchy_report(rho, (2, 2), name, budget=Budget(2, 1), rng=rng, opt=LIGHT)
-            chain_ok = chain_ok and rep.chain_ok
-            mrep = max_hierarchy_check(
-                rho, (2, 2), name, budget=Budget(2, 0), rng=rng, inner_budget=Budget(1, 0), opt=LIGHT
-            )
-            max_ok = max_ok and mrep.ok
-    assert chain_ok and max_ok
-    worst_gap = 0.0
-    bound_ok = True
-    for child in stream(803).spawn(4):
-        rho = random_density(4, int(child.integers(1, 3)), child)
-        chk = i_max_check(rho, (2, 2), budget=Budget(128, 300), rng=child)
-        worst_gap = max(worst_gap, chk.gap)
-        bound_ok = bound_ok and chk.i_max_lower <= chk.p_r + 1e-9
-    assert worst_gap <= 5e-3
-    assert bound_ok
-    print(
-        f"[criterion 8] PASS - both chains hold on 100 two-qubit states per distance; "
-        f"i_max gap {worst_gap:.2e} <= 5e-3"
-    )
+    checks = verify._hierarchy_chains(_seeded_states(801, 100, (4,)), stream(802))
+    cases = [(random_density(4, int(c.integers(1, 3)), c), c) for c in stream(803).spawn(4)]
+    checks += verify._i_max_attains_purity(cases)
+    _assert_pass(8, checks, " on 100 two-qubit states per distance")
 
 
 def test_criterion_09_numerical_kernel():
@@ -285,13 +140,3 @@ def test_criterion_09_numerical_kernel():
         f"[criterion 9] PASS - reconstruction {worst_recon:.2e} <= 1e-9, orthonormality "
         f"{worst_ortho:.2e} <= 1e-10, alpha->1 limit {worst_limit:.2e} <= 5e-3"
     )
-
-
-def test_criterion_10_cli_golden_suite():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", str(Path(__file__).parent / "test_cli.py"), "-q"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    print("[criterion 10] PASS - golden-file, determinism, and exit-code tests for every command")

@@ -69,6 +69,13 @@ def check_golden(name, text):
                 assert math.isclose(float(a), float(e), rel_tol=1e-9, abs_tol=1e-9)
 
 
+def check_verify_golden(suite, stdout):
+    """Every check's name, pass flag, detail and known-negative flag must
+    match ``verify_<suite>.json``, which holds one check per line."""
+    checks = json.loads(stdout)["checks"]
+    check_golden(f"verify_{suite}.json", "[\n" + ",\n".join(json.dumps(c) for c in checks) + "\n]\n")
+
+
 @pytest.fixture(scope="module")
 def state_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("states")
@@ -278,6 +285,7 @@ class TestVerifyCommand:
         doc = json.loads(proc.stdout)
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+        check_verify_golden("majorization", proc.stdout)
 
     def test_appendix_suite_passes(self):
         proc = run_cli("verify", "--suite", "appendixG", "--seed", "1", "--trials", "20")
@@ -285,6 +293,7 @@ class TestVerifyCommand:
         doc = json.loads(proc.stdout)
         names = {c["name"] for c in doc["checks"]}
         assert "cnot_negativity_equals_half_l1" in names
+        check_verify_golden("appendixG", proc.stdout)
 
     def test_axioms_suite_marks_known_negatives(self):
         proc = run_cli("verify", "--suite", "axioms", "--seed", "1", "--trials", "15")
@@ -292,12 +301,14 @@ class TestVerifyCommand:
         doc = json.loads(proc.stdout)
         marked = [c for c in doc["checks"] if c["known_negative"]]
         assert marked and all(c["passed"] for c in marked)
+        check_verify_golden("axioms", proc.stdout)
 
     def test_theorem_suites_pass_small(self):
         for suite in ("theorem1", "theorem2"):
             proc = run_cli("verify", "--suite", suite, "--seed", "1", "--trials", "5")
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["passed"] is True
+            check_verify_golden(suite, proc.stdout)
 
     def test_unknown_suite_exit_two(self):
         proc = run_cli("verify", "--suite", "theorem3")

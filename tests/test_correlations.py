@@ -18,7 +18,7 @@ from cohpure.correlations import (
 )
 from cohpure.linalg import DomainError, ValidationError, haar_unitary, kron, stream
 from cohpure.purity import p_distance
-from cohpure.simplex import MENU, SimplexOptConfig
+from cohpure.simplex import MENU
 from cohpure.states import (
     diagonal,
     from_bloch,
@@ -28,10 +28,9 @@ from cohpure.states import (
     random_density,
     validate,
 )
+from cohpure.verify import FAST_OPT, ULTRA_OPT
 
 BELL = pure([1, 0, 0, 1])
-FAST = SimplexOptConfig(restarts=4, max_iter=800)
-LIGHT = SimplexOptConfig(restarts=0, max_iter=300, polish=False)
 
 
 def binary_entropy(p):
@@ -183,7 +182,7 @@ class TestCompositeCoherence:
     def test_product_of_diagonals(self):
         rho = validate(kron(diagonal([0.6, 0.4]).mat, diagonal([0.2, 0.8]).mat))
         for name in MENU:
-            assert c_N(rho, (2, 2), name, FAST) <= 1e-9
+            assert c_N(rho, (2, 2), name, FAST_OPT) <= 1e-9
 
     def test_maximally_mixed(self):
         assert c_N(maximally_mixed(4), (2, 2), "rel_entropy") <= 1e-12
@@ -258,7 +257,7 @@ class TestHierarchy:
         rng = stream(25)
         for _ in range(5):
             rho = random_density(4, int(rng.integers(1, 5)), rng)
-            rep = hierarchy_report(rho, (2, 2), name, Budget(2, 1), rng, opt=LIGHT)
+            rep = hierarchy_report(rho, (2, 2), name, Budget(2, 1), rng, opt=ULTRA_OPT)
             assert rep.chain_ok
 
     def test_witnesses_recorded(self):
@@ -289,7 +288,7 @@ class TestMaxHierarchy:
         for _ in range(3):
             rho = random_density(4, 3, rng)
             rep = max_hierarchy_check(
-                rho, (2, 2), name, Budget(2, 0), rng, inner_budget=Budget(1, 0), opt=LIGHT
+                rho, (2, 2), name, Budget(2, 0), rng, inner_budget=Budget(1, 0), opt=ULTRA_OPT
             )
             assert rep.ok
             assert rep.optimizer_gap >= -1e-9

@@ -23,6 +23,7 @@ from cohpure.linalg import (
     stream,
     trace_norm,
 )
+from cohpure.states import pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -105,6 +106,11 @@ class TestMatFunc:
     def test_clips_round_off_negatives(self):
         out = mat_sqrt(np.diag([1.0, -5e-11]).astype(complex))
         assert out[1, 1] == 0.0
+
+    def test_fractional_power_of_pure_projector(self):
+        # P^a = P: the eigensolver's dust eigenvalue must not leak in
+        proj = pure([1, 0.3 + 0.2j]).mat
+        assert np.max(np.abs(linalg.mat_power(proj, 0.2) - proj)) <= 1e-12
 
 
 class TestSchattenNorm:

@@ -19,10 +19,8 @@ from cohpure.purity import (
     purity_report,
     random_unital,
 )
-from cohpure.simplex import SimplexOptConfig
 from cohpure.states import diagonal, from_bloch, maximally_mixed, pure, random_density, validate
-
-FAST = SimplexOptConfig(restarts=4, max_iter=800)
+from cohpure.verify import FAST_OPT
 
 
 def binary_entropy(p):
@@ -121,7 +119,7 @@ class TestPCoherenceBased:
             assert abs(p_coherence_based(rho, c_rel_entropy) - p_rel_entropy(rho)) <= 1e-9
 
     def test_alpha_half_on_mixed(self):
-        val = p_coherence_based(maximally_mixed(3), lambda s: c_alpha(s, 0.5, FAST))
+        val = p_coherence_based(maximally_mixed(3), lambda s: c_alpha(s, 0.5, FAST_OPT))
         assert val <= 1e-9
 
     def test_l1_on_binary_spectrum(self):

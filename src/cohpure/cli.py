@@ -267,7 +267,10 @@ def cmd_cost(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     sf, rho = _load_state(args.state)
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError as exc:
+        raise DomainError(f"--dims must be comma-separated integers, got {args.dims!r}") from exc
     if len(dims) != 2:
         raise DomainError(f"--dims must name two subsystems, got {args.dims!r}")
     if sf.dims is not None and sf.dims != dims:

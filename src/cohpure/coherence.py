@@ -108,16 +108,7 @@ def c_l1(rho: DensityMatrix) -> float:
 
 
 def c_distance_result(rho, distance, opt: SimplexOptConfig | None = None) -> SimplexResult:
-    res = simplex.minimize_diag(_as_state(rho).mat, get_distance(distance), opt)
-    return _clip_dust(res)
-
-
-def _clip_dust(res: SimplexResult) -> SimplexResult:
-    # contractive divergences between states are nonnegative; tiny negative
-    # values are round-off
-    if -1e-12 <= res.value < 0.0:
-        return SimplexResult(0.0, res.q, res.converged, res.iterations, res.evals)
-    return res
+    return simplex.minimize_diag(_as_state(rho).mat, get_distance(distance), opt)
 
 
 def c_distance(rho, distance, opt: SimplexOptConfig | None = None) -> float:
@@ -139,7 +130,7 @@ def c_alpha_result(rho, alpha: float, opt: SimplexOptConfig | None = None) -> Si
         div = simplex.SandwichedAlphaDivergence(alpha)
     else:
         raise DomainError(f"coherence order must be positive, got {alpha}")
-    return _clip_dust(simplex.minimize_diag(rho.mat, div, opt))
+    return simplex.minimize_diag(rho.mat, div, opt)
 
 
 def c_alpha(rho, alpha: float, opt: SimplexOptConfig | None = None) -> float:

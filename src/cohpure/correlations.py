@@ -98,36 +98,33 @@ def unitary_maximize(
     rho: DensityMatrix,
     budget=Budget(64, 200),
     rng: np.random.Generator | None = None,
-    structure: str = "global",
     dims=None,
     extra_candidates=(),
 ) -> OptResult:
-    """Maximize objective(U rho U^dag) over unitaries.
+    """Maximize objective(U rho U^dag) over unitaries: over all of them
+    when ``dims`` is None, else over products U_A (x) U_B with the
+    subsystem dimensions ``dims``.
 
     Candidates are the identity, any injected unitaries, and Haar draws
-    (product-structured draws for ``structure="product"``); the best
+    (of each factor for a product search); the best
     candidate is refined by steepest-ascent hill climbing along the
     Hermitian generator basis, with the step halved from 0.3 down to 1e-6
     whenever no move improves. The result is a certified lower bound on
     the supremum and never falls below the objective at the identity.
 
-    ``extra_candidates`` entries are single matrices for the global
-    structure and (U_A, U_B) factor tuples for the product structure.
+    ``extra_candidates`` entries are single matrices for a global
+    search and (U_A, U_B) factor tuples for a product search.
     """
     rho = _as_state(rho)
     budget = Budget(*budget)
     if budget.restarts < 0 or budget.refine_iters < 0 or sum(budget) == 0:
         raise DomainError(f"budget must allow some work, got {budget}")
-    if structure == "product":
-        if dims is None:
-            raise DomainError("product structure requires dims")
+    if dims is None:
+        factor_dims = (rho.dim,)
+    else:
         factor_dims = (int(dims[0]), int(dims[1]))
         if factor_dims[0] * factor_dims[1] != rho.dim:
             raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
-    elif structure == "global":
-        factor_dims = (rho.dim,)
-    else:
-        raise DomainError(f"unknown structure {structure!r}")
     rng = rng if rng is not None else linalg.stream(0)
 
     def conj_value(full):
@@ -135,7 +132,7 @@ def unitary_maximize(
 
     candidates = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
     for u in extra_candidates:
-        candidates.append((np.asarray(u, dtype=complex),) if structure == "global" else tuple(u))
+        candidates.append((np.asarray(u, dtype=complex),) if dims is None else tuple(u))
     for _ in range(budget.restarts):
         candidates.append(tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims))
 
@@ -263,7 +260,7 @@ def _discord_search(rho, dims, distance, budget, rng, opt):
     def neg_c(state):
         return -coherence.c_distance(state, distance, opt)
 
-    res = unitary_maximize(neg_c, rho, budget=budget, rng=rng, structure="product", dims=dims)
+    res = unitary_maximize(neg_c, rho, budget=budget, rng=rng, dims=dims)
     return -res.best_value, res.best_unitary
 
 

@@ -122,13 +122,14 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def hermitian_eig(m, tol: float = 1e-12) -> EigenSystem:
+def hermitian_eig(m) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with a deterministic
     phase convention.
 
-    ``tol`` is the residual target for the decomposition; the LAPACK
-    driver comfortably beats it at the dimensions this library targets,
-    and a failure to converge surfaces as :class:`ConvergenceError`.
+    The reconstruction must match the input to 1e-9 of its largest
+    entry (at least 1); the LAPACK driver comfortably beats that at the
+    dimensions this library targets. A failure to converge or a larger
+    residual surfaces as :class:`ConvergenceError`.
     """
     m = as_matrix(m)
     _require_square(m)
@@ -142,26 +143,24 @@ def hermitian_eig(m, tol: float = 1e-12) -> EigenSystem:
     recon = (vectors * values) @ dagger(vectors)
     resid = float(np.max(np.abs(recon - h)))
     scale = max(1.0, float(np.max(np.abs(h))))
-    if resid > max(tol, 1e-9) * scale:
+    if resid > 1e-9 * scale:
         raise ConvergenceError(f"reconstruction residual {resid:.3g} above target")
     return EigenSystem(values, vectors)
 
 
-def mat_func(m, f, clip_negative: bool = True) -> np.ndarray:
+def mat_func(m, f) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    With ``clip_negative`` (the default), eigenvalues in [-1e-10, 0) are
-    treated as round-off and clipped to 0 before ``f`` is applied;
-    eigenvalues below -1e-10 raise :class:`DomainError` when ``f``
-    cannot digest them. ``f`` values must be finite: logarithms of
-    singular matrices belong in the spectral trace evaluations
-    (``rel_entropy`` and friends), not in a dense reconstruction.
+    Eigenvalues in [-1e-10, 0) are treated as round-off and clipped to 0
+    before ``f`` is applied; eigenvalues below -1e-10 raise
+    :class:`DomainError` when ``f`` cannot digest them. ``f`` values
+    must be finite: logarithms of singular matrices belong in the
+    spectral trace evaluations (``rel_entropy`` and friends), not in a
+    dense reconstruction.
     """
     es = hermitian_eig(m)
     vals = es.values.copy()
-    if clip_negative:
-        small = (vals < 0) & (vals >= -PSD_CLIP)
-        vals[small] = 0.0
+    vals[(vals < 0) & (vals >= -PSD_CLIP)] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         fvals = np.asarray([f(v) for v in vals], dtype=complex)
     if not np.all(np.isfinite(fvals)):
@@ -372,7 +371,9 @@ def partial_transpose(rho, sub: int, dims) -> np.ndarray:
 
 
 def stream(seed: int) -> np.random.Generator:
-    """Deterministic random stream for a 64-bit seed."""
+    """Deterministic random stream for a nonnegative 64-bit seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
+_AXIOM_SLACK = 1e-9  # round-off allowance of every axiom_suite check
 
 
 def p_alpha(rho: DensityMatrix, alpha: float) -> float:
@@ -143,7 +144,6 @@ def axiom_suite(
     trials: int,
     rng: np.random.Generator,
     name: str = "quantifier",
-    slack: float = 1e-9,
     convexity: bool = False,
 ) -> AxiomReport:
     """Empirical check of the purity axioms for an arbitrary state
@@ -157,7 +157,7 @@ def axiom_suite(
     p1_states = [random_density(d, int(r.integers(1, d + 1)), r) for r in rng.spawn(trials)]
     neg = [(quantifier(s), s) for s in p1_states]
     worst = min(neg, key=lambda t: t[0])
-    p1_ok = abs(v_mixed) <= slack and worst[0] >= -slack
+    p1_ok = abs(v_mixed) <= _AXIOM_SLACK and worst[0] >= -_AXIOM_SLACK
     checks.append(
         AxiomCheck(
             "P1_nonnegativity",
@@ -174,7 +174,7 @@ def axiom_suite(
         delta = quantifier(coherence.apply_channel(ch, s)) - quantifier(s)
         if delta > p2_worst:
             p2_worst, p2_bad = delta, s
-        if delta > slack:
+        if delta > _AXIOM_SLACK:
             p2_ok = False
     checks.append(
         AxiomCheck("P2_unital_monotone", p2_ok, f"max increase = {p2_worst:.3g}", p2_bad)
@@ -189,7 +189,7 @@ def axiom_suite(
         gap = abs(quantifier(prod) - quantifier(a) - quantifier(b))
         if gap > p3_worst:
             p3_worst, p3_bad = gap, (a, b)
-        if gap > slack:
+        if gap > _AXIOM_SLACK:
             p3_ok = False
     checks.append(AxiomCheck("P3_additivity", p3_ok, f"max gap = {p3_worst:.3g}", p3_bad))
 
@@ -198,7 +198,7 @@ def axiom_suite(
         v = child.standard_normal(d) + 1j * child.standard_normal(d)
         gap = abs(quantifier(states.pure(v)) - math.log2(d))
         p4_worst = max(p4_worst, gap)
-        if gap > slack:
+        if gap > _AXIOM_SLACK:
             p4_ok = False
     checks.append(AxiomCheck("P4_normalization", p4_ok, f"max gap = {p4_worst:.3g}"))
 
@@ -212,7 +212,7 @@ def axiom_suite(
             gap = quantifier(mix) - (t * quantifier(a) + (1.0 - t) * quantifier(b))
             if gap > cv_worst:
                 cv_worst, cv_bad = gap, (a, b, t)
-            if gap > slack:
+            if gap > _AXIOM_SLACK:
                 cv_ok = False
         checks.append(AxiomCheck("convexity", cv_ok, f"max violation = {cv_worst:.3g}", cv_bad))
 

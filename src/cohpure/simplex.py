@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .linalg import DomainError, as_matrix
+from .linalg import LN2, DomainError, as_matrix
 
 __all__ = [
     "Distance",
@@ -38,9 +38,13 @@ __all__ = [
     "grid_minimize",
 ]
 
-LN2 = math.log(2.0)
 _EXP_CLIP = 60.0
 _FLOOR = 1e-12
+# mirror descent: a step gains only above _REL_TOL relative to the value;
+# steps start at _STEP0 and a row stops once halved below _MIN_STEP
+_REL_TOL = 1e-10
+_STEP0 = 1.0
+_MIN_STEP = 1e-12
 
 
 class Distance:
@@ -66,9 +70,10 @@ class Distance:
         return None
 
     def diag_objective(self, rho, mu: float = 0.0):
-        """Return (value, value_and_grad) closures over batches Q of shape
-        (R, d), rows on the simplex. ``mu`` is the smoothing width for
-        distances that declare a schedule."""
+        """Return (value, grad) closures over batches Q of shape (R, d),
+        rows on the simplex: the objective of each row and its gradient in
+        q. ``mu`` is the smoothing width for distances that declare a
+        schedule."""
         raise NotImplementedError
 
 
@@ -95,11 +100,10 @@ class RelEntropyDistance(Distance):
                 terms = np.where(r[None, :] > 0, r[None, :] * lg, 0.0)
             return c1 - terms.sum(axis=1)
 
-        def value_and_grad(Q):
-            grads = np.where(r[None, :] > 0, -r[None, :] / (Q * LN2), 0.0)
-            return value(Q), grads
+        def grad(Q):
+            return np.where(r[None, :] > 0, -r[None, :] / (Q * LN2), 0.0)
 
-        return value, value_and_grad
+        return value, grad
 
 
 class SchattenDistance(Distance):
@@ -124,9 +128,8 @@ class SchattenDistance(Distance):
         m = as_matrix(rho)
         if self.p == 2.0:
             # ||rho - diag q||_2^2 = (off-diagonal mass) + |q - diag rho|^2
-            q = _dephased(m)
-            value, _ = self.diag_objective(m)
-            return float(value(q[None, :])[0]), q
+            off = float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
+            return math.sqrt(off), _dephased(m)
         if self.p == 1.0 and m.shape[0] == 2:
             # rho - diag q has eigenvalues +-sqrt(t^2 + |rho_01|^2), with t
             # the diagonal mismatch: the minimum C_l1 sits at t = 0
@@ -137,60 +140,32 @@ class SchattenDistance(Distance):
         m = as_matrix(rho)
         d = m.shape[0]
         p = self.p
-        if p == 2.0:
-            r = np.real(np.diagonal(m))
-            off = float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
+        idx = np.arange(d)
 
-            def value2(Q):
-                return np.sqrt(off + np.sum((Q - r[None, :]) ** 2, axis=1))
-
-            def value_and_grad2(Q):
-                v = value2(Q)
-                g = (Q - r[None, :]) / np.maximum(v, 1e-300)[:, None]
-                return v, g
-
-            return value2, value_and_grad2
-
-        def _decompose(Q):
+        def _moduli(Q):
             A = np.broadcast_to(m, (Q.shape[0], d, d)).copy()
-            idx = np.arange(d)
             A[:, idx, idx] -= Q
             lam, vec = np.linalg.eigh(A)
-            return lam, vec
+            # the smoothing width folds into the moduli: sqrt(lam^2 + mu^2)
+            return lam, vec, np.sqrt(lam**2 + mu**2) if mu else np.abs(lam)
 
-        if p == 1.0:
-
-            def value1(Q):
-                lam, _ = _decompose(Q)
-                return np.sum(np.sqrt(lam**2 + mu**2), axis=1) if mu else np.sum(np.abs(lam), axis=1)
-
-            def value_and_grad1(Q):
-                lam, vec = _decompose(Q)
-                if mu:
-                    v = np.sum(np.sqrt(lam**2 + mu**2), axis=1)
-                    g_eig = lam / np.sqrt(lam**2 + mu**2)
-                else:
-                    v = np.sum(np.abs(lam), axis=1)
-                    g_eig = np.sign(lam)
-                grads = -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
-                return v, grads
-
-            return value1, value_and_grad1
+        def _norm(a):
+            return np.sum(a, axis=1) if p == 1.0 else np.sum(a**p, axis=1) ** (1.0 / p)
 
         def value(Q):
-            lam, _ = _decompose(Q)
-            return np.sum(np.abs(lam) ** p, axis=1) ** (1.0 / p)
+            return _norm(_moduli(Q)[2])
 
-        def value_and_grad(Q):
-            lam, vec = _decompose(Q)
-            v = np.sum(np.abs(lam) ** p, axis=1) ** (1.0 / p)
-            scale = np.maximum(v, 1e-300) ** (p - 1.0)
-            g_eig = np.sign(lam) * np.abs(lam) ** (p - 1.0) / scale[:, None]
+        def grad(Q):
+            lam, vec, a = _moduli(Q)
+            g_eig = lam / a if mu else np.sign(lam)
+            if p != 1.0:
+                # d||A||_p/da_k = (a_k / ||A||_p)^(p-1)
+                scale = np.maximum(_norm(a), 1e-300) ** (p - 1.0)
+                g_eig = g_eig * a ** (p - 1.0) / scale[:, None]
             # d||A||_p / dq_i = -[V g(Lam) V^dag]_ii
-            grads = -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
-            return v, grads
+            return -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
 
-        return value, value_and_grad
+        return value, grad
 
 
 class OneMinusFidelityDistance(Distance):
@@ -236,7 +211,7 @@ class OneMinusFidelityDistance(Distance):
             lam = np.clip(np.linalg.eigvalsh(B), 0.0, None)
             return 1.0 - np.sum(np.sqrt(lam), axis=1) ** 2
 
-        def value_and_grad(Q):
+        def grad(Q):
             lam, vec = _decompose(Q)
             t = np.sum(np.sqrt(lam), axis=1)
             # support-restricted lam^(-1/2)
@@ -244,10 +219,9 @@ class OneMinusFidelityDistance(Distance):
             inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
             w = np.einsum("rik,ij->rkj", np.conj(vec), sq)
             dt = 0.5 * np.einsum("rk,rki->ri", inv, np.abs(w) ** 2)
-            grads = -2.0 * t[:, None] * dt
-            return 1.0 - t**2, grads
+            return -2.0 * t[:, None] * dt
 
-        return value, value_and_grad
+        return value, grad
 
 
 class PetzAlphaDivergence(Distance):
@@ -281,15 +255,13 @@ class PetzAlphaDivergence(Distance):
                 t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
                 return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
 
-        def value_and_grad(Q):
+        def grad(Q):
             with np.errstate(divide="ignore", over="ignore"):
-                pw = Q ** (1.0 - a)
-                t = np.einsum("i,ri->r", coeff, pw)
-                v = np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
+                t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
                 g = -coeff[None, :] * Q ** (-a) / (LN2 * np.maximum(t, 1e-300))[:, None]
-            return v, np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+            return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
-        return value, value_and_grad
+        return value, grad
 
 
 def _diag_power(rho, a: float) -> np.ndarray:
@@ -334,14 +306,14 @@ class SandwichedAlphaDivergence(Distance):
             def value2(Q):
                 return _finish(_trace_sq(Q)[2])
 
-            def value_and_grad2(Q):
+            def grad2(Q):
                 w, Aw, t = _trace_sq(Q)
                 # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     g = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
-                return _finish(t), np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+                return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
-            return value2, value_and_grad2
+            return value2, grad2
 
         def _decompose(Q):
             w = Q**beta
@@ -356,7 +328,7 @@ class SandwichedAlphaDivergence(Distance):
             with np.errstate(over="ignore"):
                 return _finish(np.sum(lam**a, axis=1))
 
-        def value_and_grad(Q):
+        def grad(Q):
             lam, vec = _decompose(Q)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 la = lam**a
@@ -365,9 +337,9 @@ class SandwichedAlphaDivergence(Distance):
                 diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
                 dt = 2.0 * a * beta * diag_ma / Q
                 g = dt / ((a - 1.0) * LN2 * np.maximum(t, 1e-300))[:, None]
-            return _finish(t), np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+            return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
-        return value, value_and_grad
+        return value, grad
 
 
 MENU = ("rel_entropy", "trace_norm", "schatten_2", "one_minus_fidelity")
@@ -399,9 +371,6 @@ class SimplexOptConfig:
 
     restarts: int = 20
     max_iter: int = 5000
-    rel_tol: float = 1e-10
-    step0: float = 1.0
-    min_step: float = 1e-12
     seed: int = 0
     polish: bool = True
 
@@ -424,20 +393,20 @@ def _starts(rho, cfg: SimplexOptConfig) -> np.ndarray:
     d = as_matrix(rho).shape[0]
     rows = [np.full(d, 1.0 / d), _dephased(rho)]
     if cfg.restarts > 0:
-        rng = np.random.default_rng(cfg.seed)
+        rng = linalg.stream(cfg.seed)
         rows.extend(rng.dirichlet(np.ones(d)) for _ in range(cfg.restarts))
     q = np.clip(np.asarray(rows), _FLOOR, None)
     return q / q.sum(axis=1, keepdims=True)
 
 
-def _eg_stage(value, value_and_grad, Q, cfg, max_iter, rel_tol):
+def _eg_stage(value, grad, Q, max_iter, rel_tol):
     """One exponentiated-gradient descent run over a batch of starts with
     per-row step halving; mutates and returns (Q, V, iterations, evals,
     all_done). Rows never interact, so each iteration evaluates only the
     rows that are still running; ``evals`` counts those evaluations."""
     R = Q.shape[0]
     V = value(Q)
-    eta = np.full(R, cfg.step0)
+    eta = np.full(R, _STEP0)
     stall = np.zeros(R, dtype=int)
     fails = np.zeros(R, dtype=int)
     done = np.zeros(R, dtype=bool)
@@ -447,7 +416,7 @@ def _eg_stage(value, value_and_grad, Q, cfg, max_iter, rel_tol):
         it += 1
         live = np.flatnonzero(~done)
         Ql, Vl, el = Q[live], V[live], eta[live]
-        _, G = value_and_grad(Ql)
+        G = grad(Ql)
         G = np.where(np.isfinite(G), G, 0.0)
         expo = -el[:, None] * (G - G.mean(axis=1, keepdims=True))
         Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
@@ -464,8 +433,8 @@ def _eg_stage(value, value_and_grad, Q, cfg, max_iter, rel_tol):
         sl = stall[live]
         stall[live] = np.where(better, np.where(meaningful, 0, sl + 1), sl)
         fails[live] = np.where(better, 0, fails[live] + 1)
-        eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * cfg.step0), el / 2.0)
-        done[live] = (eta[live] < cfg.min_step) | (stall[live] >= 3) | (fails[live] >= 14)
+        eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * _STEP0), el / 2.0)
+        done[live] = (eta[live] < _MIN_STEP) | (stall[live] >= 3) | (fails[live] >= 14)
     return Q, V, it, evals, bool(done.all())
 
 
@@ -474,7 +443,7 @@ def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> Simplex
 
     The distance's closed form gives the exact minimum where one applies;
     otherwise :func:`_mirror_descent` runs. A non-finite value is never
-    reported as converged.
+    reported as converged, and a value in [-1e-12, 0) is reported as 0.
     """
     distance = get_distance(distance)
     closed = distance.closed_form_minimizer(rho)
@@ -485,6 +454,10 @@ def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> Simplex
         res = SimplexResult(value, q, True, 0, 1)
     if not math.isfinite(res.value):
         return replace(res, converged=False)
+    if -1e-12 <= res.value < 0.0:
+        # contractive divergences between states are nonnegative; tiny
+        # negative values are round-off
+        return replace(res, value=0.0)
     return res
 
 
@@ -506,11 +479,11 @@ def _mirror_descent(rho, distance: Distance, cfg: SimplexOptConfig) -> SimplexRe
     total_ev = 0
     all_done = False
     for mu in schedule:
-        value, value_and_grad = distance.diag_objective(rho, mu=mu)
+        value, grad = distance.diag_objective(rho, mu=mu)
         # intermediate smoothed landscapes only need to be solved to the
         # scale of their own smoothing width
-        stage_tol = max(mu * 1e-2, cfg.rel_tol)
-        Q, _, it, ev, all_done = _eg_stage(value, value_and_grad, Q, cfg, stage_iters, stage_tol)
+        stage_tol = max(mu * 1e-2, _REL_TOL)
+        Q, _, it, ev, all_done = _eg_stage(value, grad, Q, stage_iters, stage_tol)
         total_it += it
         total_ev += ev
     converged = all_done
@@ -532,14 +505,14 @@ def _slsqp_polish(distance, rho, q, v):
     inside it; SLSQP closes the last ~1e-5. Acceptance stays monotone."""
     from scipy.optimize import minimize as _scipy_minimize
 
-    value, value_and_grad = distance.diag_objective(rho)
+    value, grad = distance.diag_objective(rho)
     d = q.size
 
     def fun(x):
         return float(value(np.clip(x, 0.0, None)[None, :])[0])
 
     def jac(x):
-        return value_and_grad(np.clip(x, 1e-14, None)[None, :])[1][0]
+        return grad(np.clip(x, 1e-14, None)[None, :])[0]
 
     res = _scipy_minimize(
         fun,

@@ -93,6 +93,15 @@ class TestQuantify:
         assert proc.returncode == 0, proc.stderr
         check_golden("quantify_binary.json", proc.stdout)
 
+    def test_full_rank_d4_golden(self, tmp_path):
+        # at d = 4 the trace norm, the fidelity and the sandwiched order 2
+        # come from mirror descent, which no qubit golden reaches
+        path = tmp_path / "d4.json"
+        assert run_cli("random", "--dim", "4", "--rank", "4", "--seed", "7", "--out", str(path)).returncode == 0
+        proc = run_cli("quantify", "--state", str(path))
+        assert proc.returncode == 0, proc.stderr
+        check_golden("quantify_d4.json", proc.stdout)
+
     def test_maximally_mixed_all_zero(self, state_files):
         proc = run_cli("quantify", "--state", str(state_files / "mixed2.json"))
         assert proc.returncode == 0
@@ -173,6 +182,28 @@ class TestMalformedInput:
     def test_negative_trials(self, capsys):
         err = self._exit_and_error(["verify", "--suite", "majorization", "--trials", "-3"], capsys)
         assert "trials" in err
+
+    def test_non_integer_hierarchy_dims(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        io.write_state(path, pure([1, 0, 0, 1]), dims=(2, 2))
+        err = self._exit_and_error(["hierarchy", "--state", str(path), "--dims", "2,x"], capsys)
+        assert "dims" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hierarchy", "--state", "{bell}", "--dims", "2,2"],
+            ["random", "--dim", "2", "--rank", "1", "--out", "{out}"],
+            ["verify", "--suite", "majorization"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed(self, argv, tmp_path, capsys):
+        bell = tmp_path / "bell.json"
+        io.write_state(bell, pure([1, 0, 0, 1]), dims=(2, 2))
+        argv = [a.format(bell=bell, out=tmp_path / "out.json") for a in argv] + ["--seed", "-5"]
+        err = self._exit_and_error(argv, capsys)
+        assert "seed" in err
 
 
 class TestMcms:

@@ -92,7 +92,6 @@ class TestUnitaryMaximize:
             rho,
             budget=Budget(4, 2),
             rng=stream(10),
-            structure="product",
             dims=(2, 2),
         )
         # mutual information is invariant under product unitaries

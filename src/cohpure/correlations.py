@@ -48,7 +48,6 @@ class OptResult:
 
     best_value: float
     best_unitary: np.ndarray
-    restarts: int
     evals: int
     improved_by_refinement: float
 
@@ -172,7 +171,6 @@ def unitary_maximize(
     return OptResult(
         best_value=best_val,
         best_unitary=best_full,
-        restarts=budget.restarts,
         evals=evals,
         improved_by_refinement=best_val - candidate_val,
     )

@@ -236,12 +236,8 @@ def fidelity(rho, sigma) -> float:
     _check_same_dim(r, s)
     sq = mat_sqrt(r)
     inner = sq @ s @ sq
-    vals = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    if vals[-1] > 0:
-        # round-off dust below the top eigenvalue's precision floor would
-        # be amplified by the square root
-        vals[vals <= 1e-13 * vals[-1]] = 0.0
+    # the square root would amplify eigenvalue dust
+    vals = drop_dust(np.linalg.eigvalsh((inner + dagger(inner)) / 2.0))
     f = float(np.sum(np.sqrt(vals)) ** 2)
     # F <= 1 exactly; anything above is round-off
     return min(max(f, 0.0), 1.0)

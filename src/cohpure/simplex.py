@@ -2,15 +2,16 @@
 diagonal (incoherent) states.
 
 Where the minimum has a closed form (the relative entropy, Schatten-2,
-Petz--Renyi orders in (0,1), and the trace norm and fidelity on qubits),
-the distance's ``closed_form_minimizer`` gives it exactly. Otherwise the
-optimizer is exponentiated-gradient mirror descent with multiple starts
-(Dirichlet draws plus the dephased state and the uniform point), step
-halving on non-improvement, and monotone acceptance: the returned value
-never exceeds the objective at any start, which downstream code relies
-on for certified upper bounds. Mirror descent also serves the tests as
-the oracle for the closed forms, and a dense grid search over the
-simplex as the independent verification oracle at small dimension.
+Petz--Renyi orders in (0,1), and the trace norm and fidelity on
+block-sparse states: every qubit, X and diagonal states), the distance's
+``closed_form_minimizer`` gives it exactly. Otherwise the optimizer is
+exponentiated-gradient mirror descent with multiple starts (Dirichlet
+draws plus the dephased state and the uniform point), step halving on
+non-improvement, and monotone acceptance: the returned value never exceeds
+the objective at any start, which downstream code relies on for certified
+upper bounds. Mirror descent also serves the tests as the oracle for the
+closed forms, and a dense grid search over the simplex as the independent
+verification oracle at small dimension.
 """
 
 from __future__ import annotations
@@ -125,16 +126,19 @@ class SchattenDistance(Distance):
         return linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), self.p)
 
     def closed_form_minimizer(self, rho):
+        """Schatten-2 on every state; the trace norm on block-sparse states
+        (every qubit, X and diagonal states), where each 2x2 block of rho -
+        diag q has an eigenvalue gap of at least 2|c|, c its off-diagonal:
+        C_l1 at q = diag rho (Rana, Parashar, Lewenstein, PRA 93, 012110)."""
         m = as_matrix(rho)
         if self.p == 2.0:
             # ||rho - diag q||_2^2 = (off-diagonal mass) + |q - diag rho|^2
             off = float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
             return math.sqrt(off), _dephased(m)
-        if self.p == 1.0 and m.shape[0] == 2:
-            # rho - diag q has eigenvalues +-sqrt(t^2 + |rho_01|^2), with t
-            # the diagonal mismatch: the minimum C_l1 sits at t = 0
-            return float(abs(m[0, 1]) + abs(m[1, 0])), _dephased(m)
-        return None
+        if self.p != 1.0 or (blocks := _blocks(m)) is None:
+            return None
+        _, _, cij, cji = blocks
+        return float(np.sum(cij + cji)), _dephased(m)
 
     def diag_objective(self, rho, mu: float = 0.0):
         m = as_matrix(rho)
@@ -177,24 +181,24 @@ class OneMinusFidelityDistance(Distance):
         return 1.0 - linalg.fidelity(rho, sigma)
 
     def closed_form_minimizer(self, rho):
+        """Block-sparse states (every qubit, X and diagonal states): the root
+        fidelity splits over the blocks, so by Cauchy-Schwarz max F sums the
+        blocks' maxima, (t + root) / 2 for a 2x2 block of diagonal sum t and
+        difference z, root = sqrt(z^2 + 4 det) (Streltsov et al., PRL 115,
+        020403), its mass split as (1 +- z / root) / 2. The formula is exact
+        on pure blocks, where the objective carries ~1e-8 of dust."""
         m = as_matrix(rho)
-        if m.shape[0] != 2:
+        if (blocks := _blocks(m)) is None:
             return None
-        # qubits (Streltsov et al., PRL 115, 020403 (2015)): the maximal
-        # fidelity is (1 + sqrt(1 - C_l1^2)) / 2, attained at
-        # q_0 = (1 + s) / 2 with s = (rho_00 - rho_11) / sqrt(1 - C_l1^2).
-        # The value is the formula's: the objective's matrix square root
-        # of a pure state carries ~1e-8 of eigenvalue dust. At unit trace
-        # 1 - C_l1^2 = z^2 + 4 det(rho), which stays exact on pure states.
-        z = float(np.real(m[0, 0] - m[1, 1]))
-        det = float(np.real(m[0, 0] * m[1, 1])) - abs(m[0, 1]) * abs(m[1, 0])
-        root = min(math.sqrt(max(z * z + 4.0 * det, 0.0)), 1.0)
-        if root == 0.0:
-            q = _dephased(m)
-        else:
-            s = min(max(z / root, -1.0), 1.0)
-            q = np.array([(1.0 + s) / 2.0, (1.0 - s) / 2.0])
-        return (1.0 - root) / 2.0, q
+        i, j, cij, cji = blocks
+        a, b = np.real(m[i, i]), np.real(m[j, j])
+        t, z = a + b, a - b
+        det = a * b - cij * cji
+        root = np.minimum(np.sqrt(np.maximum(z * z + 4.0 * det, 0.0)), t)
+        s = np.clip(np.divide(z, root, out=np.zeros_like(z), where=root > 0), -1.0, 1.0)
+        q = np.clip(np.real(np.diagonal(m)), 0.0, None)
+        q[i], q[j] = (t + root) * (1.0 + s) / 4.0, (t + root) * (1.0 - s) / 4.0
+        return float(np.sum(t - root) / 2.0), q / q.sum()
 
     def diag_objective(self, rho, mu: float = 0.0):
         sq = linalg.mat_sqrt(as_matrix(rho))
@@ -225,11 +229,11 @@ class OneMinusFidelityDistance(Distance):
 
 
 class PetzAlphaDivergence(Distance):
-    """Petz--Renyi divergence D_alpha for alpha in (0,1) u (1,2]."""
+    """Petz--Renyi divergence D_alpha for alpha in (0,1)."""
 
     def __init__(self, alpha: float):
-        if not (0.0 < alpha <= 2.0) or alpha == 1.0:
-            raise DomainError(f"Petz divergence order must lie in (0,1) u (1,2], got {alpha}")
+        if not (0.0 < alpha < 1.0):
+            raise DomainError(f"Petz divergence order must lie in (0,1), got {alpha}")
         self.alpha = float(alpha)
         self.name = f"petz_{alpha:g}"
 
@@ -238,8 +242,6 @@ class PetzAlphaDivergence(Distance):
 
     def closed_form_minimizer(self, rho):
         a = self.alpha
-        if a > 1.0:
-            return None
         # Hoelder: sum_i c_i q_i^(1-a) <= (sum_i c_i^(1/a))^a with c the
         # diagonal of rho^a, attained at q_i proportional to c_i^(1/a)
         w = _diag_power(rho, a) ** (1.0 / a)
@@ -251,9 +253,8 @@ class PetzAlphaDivergence(Distance):
         coeff = _diag_power(rho, a)
 
         def value(Q):
-            with np.errstate(divide="ignore", over="ignore"):
-                t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
-                return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
+            t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
+            return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
 
         def grad(Q):
             with np.errstate(divide="ignore", over="ignore"):
@@ -382,6 +383,21 @@ class SimplexResult:
     converged: bool
     iterations: int
     evals: int
+
+
+def _blocks(m: np.ndarray):
+    """(i, j, |m_ij|, |m_ji|) over m's 2x2 blocks, i < j, when every row of
+    its symmetric off-diagonal pattern is exactly zero beyond one entry;
+    else None, so a near-sparse state keeps the optimizer. The moduli round
+    as abs() of a complex scalar: numpy's vectorized complex abs can differ
+    in the last bit, which a pure block's near-zero determinant amplifies."""
+    nz = (m != 0) | (m.T != 0)
+    np.fill_diagonal(nz, False)
+    if np.any(nz.sum(axis=1) > 1):
+        return None
+    i, j = np.nonzero(np.triu(nz))
+    mod = np.hypot(m.real, m.imag)
+    return i, j, mod[i, j], mod[j, i]
 
 
 def _dephased(rho) -> np.ndarray:
@@ -588,12 +604,8 @@ def _grid_eval(m: np.ndarray, distance: Distance, Q: np.ndarray) -> np.ndarray:
         es = linalg.hermitian_eig(m)
         pv = linalg.drop_dust(es.values)
         coeff = np.einsum("k,ik->i", np.where(pv > 0, pv**a, 0.0), np.abs(es.vectors) ** 2)
-        out = np.full(Q.shape[0], np.inf)
-        interior = (Q > 0).all(axis=1) if a > 1.0 else np.ones(Q.shape[0], dtype=bool)
-        with np.errstate(divide="ignore", over="ignore"):
-            t = np.einsum("i,ri->r", coeff, Q[interior] ** (1.0 - a))
-            out[interior] = np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
-        return out
+        t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
+        return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
     if isinstance(distance, SandwichedAlphaDivergence):
         a = distance.alpha
         out = np.full(Q.shape[0], np.inf)

@@ -41,7 +41,6 @@ class Spectrum:
 
     values: np.ndarray
     rank: int
-    rank_tol: float
 
     @classmethod
     def from_values(cls, values) -> "Spectrum":
@@ -54,8 +53,7 @@ class Spectrum:
         if v.sum() > 0:
             v = v / v.sum()
         tol = RANK_TOL_REL * float(v[0]) if v.size else 0.0
-        rank = int(np.count_nonzero(v > tol))
-        return cls(values=v, rank=rank, rank_tol=tol)
+        return cls(values=v, rank=int(np.count_nonzero(v > tol)))
 
     @property
     def max(self) -> float:
@@ -94,13 +92,8 @@ class DensityMatrix:
 
 
 def _check_state(m: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("square", message=f"expected square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("finite", message="matrix contains NaN/Inf entries")
-    herm_dev = float(np.max(np.abs(m - dagger(m))))
-    if herm_dev > linalg.HERM_TOL:
-        raise ValidationError("hermiticity", herm_dev)
+    linalg._require_square(m)
+    linalg._require_hermitian(m)
     m = (m + dagger(m)) / 2.0
     trace_dev = abs(float(np.real(np.trace(m))) - 1.0)
     if trace_dev > TRACE_TOL:

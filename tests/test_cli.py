@@ -292,6 +292,16 @@ class TestHierarchy:
         assert doc["hierarchy"]["chain_ok"] and doc["max_hierarchy"]["ok"]
         check_golden("hierarchy_bell.json", proc.stdout)
 
+    @pytest.mark.parametrize("distance,exact", [("trace_norm", 1.0), ("one_minus_fidelity", 0.5)])
+    def test_bell_coherence_exact(self, state_files, distance, exact):
+        # the Bell state is one 2x2 block on indices 0 and 3: a closed form
+        proc = run_cli(
+            "hierarchy", "--state", str(state_files / "bell.json"), "--dims", "2,2",
+            "--distance", distance, "--seed", "1", "--restarts", "2", "--refine", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["hierarchy"]["coherence_n"] - exact) <= 1e-15
+
     def test_maximally_mixed_zeros(self, state_files, tmp_path):
         path = tmp_path / "m4.json"
         io.write_state(path, maximally_mixed(4), dims=(2, 2))

@@ -153,16 +153,17 @@ class TestMinimizeDiag:
             PetzAlphaDivergence(2.0)
 
 
-# every closed form, and whether it needs a block-sparse rho
+# every closed form, with the largest diagonal block of rho it accepts
+# (2: rho must be block-sparse, see _block_sparse; None: any rho)
 CLOSED_FORMS = [
-    (get_distance("rel_entropy"), False),
-    (SchattenDistance(2.0), False),
-    (PetzAlphaDivergence(0.5), False),
-    (PetzAlphaDivergence(0.2), False),
-    (SchattenDistance(1.0), True),
-    (OneMinusFidelityDistance(), True),
+    (get_distance("rel_entropy"), None),
+    (SchattenDistance(2.0), None),
+    (PetzAlphaDivergence(0.5), None),
+    (PetzAlphaDivergence(0.2), None),
+    (SchattenDistance(1.0), 2),
+    (OneMinusFidelityDistance(), 2),
 ]
-BLOCK_RULES = [dist for dist, block_only in CLOSED_FORMS if block_only]
+BLOCK_RULES = [dist for dist, max_block in CLOSED_FORMS if max_block == 2]
 
 
 def _block_sparse(rho) -> bool:
@@ -192,9 +193,9 @@ def _block_state(d, kind, rng):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("dist,block_only", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
+    @pytest.mark.parametrize("dist,max_block", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_agrees_with_mirror_descent_and_grid(self, dist, block_only, d):
+    def test_agrees_with_mirror_descent_and_grid(self, dist, max_block, d):
         rng = stream(40 + d)
         for rank in range(1, d + 1):
             # on pure states the optimizers' fidelity objective, through the
@@ -202,7 +203,7 @@ class TestClosedForms:
             slack = 1e-7 if isinstance(dist, OneMinusFidelityDistance) and rank < d else 1e-9
             for _ in range(3):
                 rho = random_density(d, rank, rng).mat
-                if block_only and not _block_sparse(rho):
+                if max_block == 2 and not _block_sparse(rho):
                     assert dist.closed_form_minimizer(rho) is None
                     continue
                 value, q = dist.closed_form_minimizer(rho)
@@ -274,13 +275,13 @@ def edge_states(draw):
     return (m + m.conj().T) / 2.0
 
 
-@pytest.mark.parametrize("dist,block_only", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
+@pytest.mark.parametrize("dist,max_block", CLOSED_FORMS, ids=lambda x: getattr(x, "name", str(x)))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(rho=edge_states())
-def test_closed_form_properties(dist, block_only, rho):
+def test_closed_form_properties(dist, max_block, rho):
     d = rho.shape[0]
     closed = dist.closed_form_minimizer(rho)
-    if block_only and not _block_sparse(rho):
+    if max_block == 2 and not _block_sparse(rho):
         assert closed is None
         return
     value, q = closed

@@ -32,10 +32,10 @@ for name in ("rel_entropy", "trace_norm", "schatten_2", "one_minus_fidelity"):
         f"{rep.discord_upper:.6f}  (chain ok: {rep.chain_ok})"
     )
 
-print("\nunitary orbits cannot beat the purity ceiling:")
+print("\nunitary orbits cannot beat the purity ceiling (C_max read off the MCMS):")
 mrep = max_hierarchy_check(rho, (2, 2), "rel_entropy", budget=Budget(16, 30), rng=stream(4))
 print(
-    f"  purity {mrep.purity:.6f}, sup coherence_N {mrep.c_max_lower:.6f} "
+    f"  purity {mrep.purity:.6f}, C_max at the MCMS {mrep.c_max_lower:.6f} "
     f"(gap {mrep.optimizer_gap:.2e}), sup discord {mrep.d_max_lower:.6f}"
 )
 
@@ -51,4 +51,7 @@ for x in (0.2, 0.6, 1.0):
 
 print("\nmaximal mutual information recovers the relative entropy of purity:")
 chk = i_max_check(random_density(4, 2, stream(6)), (2, 2), budget=Budget(128, 300), rng=stream(7))
-print(f"  I_max (search) = {chk.i_max_lower:.8f}  vs  P_r = {chk.p_r:.8f}  (gap {chk.gap:.2e})")
+print(
+    f"  I_max (search from the Bell-diagonal rotation) = {chk.i_max_lower:.8f}  "
+    f"vs  P_r = {chk.p_r:.8f}  (gap {chk.gap:.2e})"
+)

@@ -315,15 +315,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 
-def _bloch_value(name: str, rho: DensityMatrix, opt: SimplexOptConfig) -> float:
+def _bloch_value(name: str, rho: DensityMatrix) -> float:
     if name == "c_l1":
         return c_l1(rho)
     if name == "c_rel_entropy":
         return c_rel_entropy(rho)
     if name == "c_trace_norm":
-        return coherence.c_distance(rho, "trace_norm", opt)
+        return coherence.c_distance(rho, "trace_norm")
     if name == "c_geometric":
-        return coherence.c_geometric(rho, opt)
+        return coherence.c_geometric(rho)
     if name == "p_rel_entropy":
         return purity.p_rel_entropy(rho)
     if name == "p_trace_norm":
@@ -341,7 +341,8 @@ def cmd_bloch(args) -> int:
     if args.grid < 2:
         raise DomainError(f"--grid must be >= 2, got {args.grid}")
     axis = np.linspace(-1.0, 1.0, args.grid)
-    opt = SimplexOptConfig(restarts=2, max_iter=600)
+    # every Bloch state is a qubit, where the trace norm and the fidelity
+    # take their block closed forms: no simplex optimizer runs
     buf = io_module.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["x", "y", "z", "value"])
@@ -350,7 +351,7 @@ def cmd_bloch(args) -> int:
             for z in axis:
                 if x * x + y * y + z * z > 1.0 + 1e-12:
                     continue
-                value = _bloch_value(args.quantifier, from_bloch((x, y, z)), opt)
+                value = _bloch_value(args.quantifier, from_bloch((x, y, z)))
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(z)), repr(value)])
     io.atomic_write_text(args.out, buf.getvalue())
     return EXIT_OK

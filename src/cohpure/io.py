@@ -103,7 +103,10 @@ def read_state(path) -> StateFile:
 
 
 def _integer(value, field: str) -> int:
-    try:
+    """A JSON integer, or a number with an integral value; booleans,
+    strings and fractional or non-finite numbers are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("statefile", message=f"'{field}' must be an integer, got {value!r}") from exc
+    raise ValidationError("statefile", message=f"'{field}' must be an integer, got {value!r}")

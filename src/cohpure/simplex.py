@@ -112,8 +112,8 @@ class SchattenDistance(Distance):
     trace norm."""
 
     def __init__(self, p: float):
-        if not (p >= 1.0):
-            raise DomainError(f"Schatten distance requires p >= 1, got {p}")
+        if not (1.0 <= p < math.inf):
+            raise DomainError(f"Schatten distance requires a finite p >= 1, got {p}")
         self.p = float(p)
         self.name = "trace_norm" if p == 1.0 else f"schatten_{p:g}"
         if p == 1.0:
@@ -154,7 +154,11 @@ class SchattenDistance(Distance):
             return lam, vec, np.sqrt(lam**2 + mu**2) if mu else np.abs(lam)
 
         def _norm(a):
-            return np.sum(a, axis=1) if p == 1.0 else np.sum(a**p, axis=1) ** (1.0 / p)
+            if p == 1.0:
+                return np.sum(a, axis=1)
+            # scaled by the largest modulus, so that a^p cannot underflow
+            top = np.maximum(a.max(axis=1), 1e-300)[:, None]
+            return top[:, 0] * np.sum((a / top) ** p, axis=1) ** (1.0 / p)
 
         def value(Q):
             return _norm(_moduli(Q)[2])
@@ -164,8 +168,7 @@ class SchattenDistance(Distance):
             g_eig = lam / a if mu else np.sign(lam)
             if p != 1.0:
                 # d||A||_p/da_k = (a_k / ||A||_p)^(p-1)
-                scale = np.maximum(_norm(a), 1e-300) ** (p - 1.0)
-                g_eig = g_eig * a ** (p - 1.0) / scale[:, None]
+                g_eig = g_eig * (a / np.maximum(_norm(a), 1e-300)[:, None]) ** (p - 1.0)
             # d||A||_p / dq_i = -[V g(Lam) V^dag]_ii
             return -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
 
@@ -274,11 +277,12 @@ def _diag_power(rho, a: float) -> np.ndarray:
 
 
 class SandwichedAlphaDivergence(Distance):
-    """Sandwiched Renyi divergence for alpha in [1/2, 1) u (1, inf)."""
+    """Sandwiched Renyi divergence for alpha > 1; c_alpha sends every
+    order below 1 to the Petz divergence."""
 
     def __init__(self, alpha: float):
-        if not (alpha >= 0.5) or alpha == 1.0:
-            raise DomainError(f"sandwiched order must lie in [1/2,1) u (1,inf), got {alpha}")
+        if not (alpha > 1.0):
+            raise DomainError(f"sandwiched order must exceed 1, got {alpha}")
         self.alpha = float(alpha)
         self.name = f"sandwiched_{alpha:g}"
 
@@ -359,7 +363,11 @@ def get_distance(spec) -> Distance:
     if name == "one_minus_fidelity":
         return OneMinusFidelityDistance()
     if name.startswith("schatten_"):
-        return SchattenDistance(float(name.removeprefix("schatten_")))
+        try:
+            p = float(name.removeprefix("schatten_"))
+        except ValueError as exc:
+            raise DomainError(f"cannot parse the Schatten order of {spec!r}") from exc
+        return SchattenDistance(p)
     raise DomainError(f"unknown distance {spec!r}; menu: {MENU}")
 
 
@@ -609,8 +617,8 @@ def _grid_eval(m: np.ndarray, distance: Distance, Q: np.ndarray) -> np.ndarray:
     if isinstance(distance, SandwichedAlphaDivergence):
         a = distance.alpha
         out = np.full(Q.shape[0], np.inf)
-        # boundary points with a > 1 violate the support condition outright
-        interior = (Q > 0).all(axis=1) if a > 1.0 else np.ones(Q.shape[0], dtype=bool)
+        # boundary points violate the support condition outright
+        interior = (Q > 0).all(axis=1)
         with np.errstate(divide="ignore", over="ignore"):
             w = Q[interior] ** ((1.0 - a) / (2.0 * a))
             M = m[None, :, :] * (w[:, :, None] * w[:, None, :])

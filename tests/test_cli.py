@@ -169,6 +169,22 @@ class TestMalformedInput:
         err = self._exit_and_error(["quantify", "--state", self._state(tmp_path, dim="abc")], capsys)
         assert "dim" in err
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("dim", {"dim": 2.7}),
+            ("dim", {"dim": math.inf}),
+            ("dim", {"dim": "2"}),
+            ("dim", {"dim": True, "matrix": [[[1.0, 0.0]]]}),
+            ("dims", {"dim": 4, "dims": [2.9, 2.2],
+                      "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]}),
+        ],
+        ids=["dim_fraction", "dim_infinite", "dim_string", "dim_bool", "dims_fraction"],
+    )
+    def test_non_integral_number(self, field, fields, tmp_path, capsys):
+        err = self._exit_and_error(["quantify", "--state", self._state(tmp_path, **fields)], capsys)
+        assert f"'{field}' must be an integer" in err
+
     def test_dims_not_multiplying_to_dim(self, tmp_path, capsys):
         err = self._exit_and_error(["quantify", "--state", self._state(tmp_path, dims=[3, 3])], capsys)
         assert "dims" in err

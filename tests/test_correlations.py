@@ -232,6 +232,15 @@ class TestIMaxCheck:
             assert chk.i_max_lower <= chk.p_r + 1e-9
             assert chk.gap <= 5e-3
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bell_rotation_attains_purity(self, n):
+        # a Bell-diagonal state has maximally mixed marginals, so the
+        # witness reaches P_r without any search
+        rng = stream(30)
+        for rank in (1, 2, n + 1, n * n):
+            chk = i_max_check(random_density(n * n, rank, rng), (n, n), Budget(1, 0), rng)
+            assert abs(chk.gap) <= 1e-12
+
     def test_requires_equal_subsystems(self):
         rho = random_density(6, 2, stream(21))
         with pytest.raises(ValidationError):
@@ -280,6 +289,13 @@ class TestMaxHierarchy:
         assert abs(rep.purity - 2.0) <= 1e-9
         assert rep.c_max_lower >= 2.0 - 1e-3
         assert rep.ok
+
+    @pytest.mark.parametrize("name", MENU)
+    def test_bell_c_max_read_off_mcms(self, name):
+        rep = max_hierarchy_check(BELL, (2, 2), name, Budget(1, 0), stream(31), inner_budget=Budget(1, 0))
+        # the fidelity objective reads up to ~1e-8 below on the pure MCMS
+        below = 1e-7 if name == "one_minus_fidelity" else 1e-12
+        assert rep.purity - below <= rep.c_max_lower <= rep.purity + 1e-12
 
     @pytest.mark.parametrize("name", MENU)
     def test_bounded_by_purity_on_seeded_states(self, name):

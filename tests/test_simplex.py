@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cohpure.simplex import (
     SimplexOptConfig,
     _eg_stage,
     _grid_eval,
+    _grid_points,
     _mirror_descent,
     _starts,
     get_distance,
@@ -31,7 +33,6 @@ ALL_FAMILIES = [
     SchattenDistance(3.0),
     OneMinusFidelityDistance(),
     PetzAlphaDivergence(0.5),
-    SandwichedAlphaDivergence(0.5),
     SandwichedAlphaDivergence(2.0),
 ]
 
@@ -151,6 +152,28 @@ class TestMinimizeDiag:
         # c_alpha sends orders above 1 to the sandwiched divergence
         with pytest.raises(DomainError):
             PetzAlphaDivergence(2.0)
+
+    def test_sandwiched_order_below_one_rejected(self):
+        # c_alpha sends orders below 1 to the Petz divergence
+        with pytest.raises(DomainError):
+            SandwichedAlphaDivergence(0.5)
+
+    @pytest.mark.parametrize("name", ["schatten_inf", "schatten_abc"])
+    def test_malformed_schatten_order_rejected(self, name):
+        # at p = inf the objective (sum_k a_k^p)^(1/p) reads 1 on any state
+        with pytest.raises(DomainError):
+            minimize_diag(random_density(3, 3, stream(10)).mat, name)
+
+    def test_huge_schatten_order_is_the_operator_norm(self):
+        rho = random_density(3, 2, stream(11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize_diag(rho.mat, "schatten_1e308")
+        Q = _grid_points(3, 1e-3)
+        lam = np.linalg.eigvalsh(rho.mat[None, :, :] - Q[:, :, None] * np.eye(3)[None, :, :])
+        grid = float(np.abs(lam).max(axis=1).min())
+        # the operator norm moves by at most the grid spacing between points
+        assert res.converged and grid - 1e-3 <= res.value <= grid + 1e-9
 
 
 # every closed form, with the largest diagonal block of rho it accepts

@@ -11,6 +11,7 @@ from .coherence import (
     apply_channel,
     c_alpha,
     c_distance,
+    c_distances,
     c_geometric,
     c_l1,
     c_max_closed,

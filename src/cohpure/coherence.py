@@ -23,6 +23,7 @@ __all__ = [
     "c_l1",
     "c_distance",
     "c_distance_result",
+    "c_distances",
     "c_alpha",
     "c_alpha_result",
     "c_geometric",
@@ -116,6 +117,13 @@ def c_distance(rho, distance, opt: SimplexOptConfig | None = None) -> float:
     over diagonal states. The result is a certified upper bound on the
     infimum and never exceeds the distance to the maximally mixed state."""
     return c_distance_result(rho, distance, opt).value
+
+
+def c_distances(rhos, distance, opt: SimplexOptConfig | None = None) -> list:
+    """:func:`c_distance` of every state in a list of equal dimension,
+    minimized as one stack; each value equals that of a call on its own."""
+    mats = np.stack([_as_state(rho).mat for rho in rhos])
+    return [res.value for res in simplex.minimize_diags(mats, get_distance(distance), opt)]
 
 
 def c_alpha_result(rho, alpha: float, opt: SimplexOptConfig | None = None) -> SimplexResult:

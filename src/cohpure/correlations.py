@@ -104,12 +104,15 @@ def unitary_maximize(
     when ``dims`` is None, else over products U_A (x) U_B with the
     subsystem dimensions ``dims``.
 
-    Candidates are the identity, any injected unitaries, and Haar draws
-    (of each factor for a product search); the best
-    candidate is refined by steepest-ascent hill climbing along the
-    Hermitian generator basis, with the step halved from 0.3 down to 1e-6
-    whenever no move improves. The result is a certified lower bound on
-    the supremum and never falls below the objective at the identity.
+    ``objective`` takes a list of states and returns their values, so
+    that a batch of trial states can be scored as one stack. It is called
+    once on all candidates: the identity, any injected unitaries, and Haar
+    draws (of each factor for a product search). The best candidate is
+    refined by steepest-ascent hill climbing along the Hermitian
+    generator basis, one objective call per pass on all its
+    2 * sum_f d_f^2 trial states, with the step halved from 0.3 down to
+    1e-6 whenever no move improves. The result is a certified lower bound
+    on the supremum and never falls below the objective at the identity.
 
     ``extra_candidates`` entries are single matrices for a global
     search and (U_A, U_B) factor tuples for a product search.
@@ -126,8 +129,8 @@ def unitary_maximize(
             raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
     rng = rng if rng is not None else linalg.stream(0)
 
-    def conj_value(full):
-        return float(objective(_trusted(full @ rho.mat @ dagger(full))))
+    def conj_values(fulls):
+        return [float(v) for v in objective([_trusted(u @ rho.mat @ dagger(u)) for u in fulls])]
 
     candidates = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
     for u in extra_candidates:
@@ -135,7 +138,7 @@ def unitary_maximize(
     for _ in range(budget.restarts):
         candidates.append(tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims))
 
-    values = [conj_value(_compose(f)) for f in candidates]
+    values = conj_values([_compose(f) for f in candidates])
     evals = len(values)
     best_idx = int(np.argmax(values))
     best_val = values[best_idx]
@@ -147,19 +150,27 @@ def unitary_maximize(
     specs = [_generator_specs(fd) for fd in factor_dims]
     while passes < budget.refine_iters and eps > EPS_STOP:
         passes += 1
+        moves = [
+            (f_idx, _generator_step(fd, spec, sign * eps))
+            for f_idx, fd in enumerate(factor_dims)
+            for spec in specs[f_idx]
+            for sign in (1.0, -1.0)
+        ]
+        trials = []
+        for f_idx, step in moves:
+            trial = list(factors)
+            trial[f_idx] = factors[f_idx] @ step
+            trials.append(_compose(trial))
+        trial_values = conj_values(trials)
+        evals += len(trial_values)
+        # the scan keeps the first strict improvement, as a sequential
+        # climb would
         best_move = None
         best_move_val = best_val
-        for f_idx, fd in enumerate(factor_dims):
-            for spec in specs[f_idx]:
-                for sign in (1.0, -1.0):
-                    step = _generator_step(fd, spec, sign * eps)
-                    trial = list(factors)
-                    trial[f_idx] = factors[f_idx] @ step
-                    v = conj_value(_compose(trial))
-                    evals += 1
-                    if v > best_move_val + 1e-15:
-                        best_move_val = v
-                        best_move = (f_idx, step)
+        for move, v in zip(moves, trial_values):
+            if v > best_move_val + 1e-15:
+                best_move_val = v
+                best_move = move
         if best_move is None:
             eps /= 2.0
         else:
@@ -248,18 +259,18 @@ def discord_upper(
     """Certified upper bound on distance-based discord: the composite
     coherence minimized over sampled and refined product unitaries
     (the identity included, so the bound never exceeds c_N)."""
-    value, _ = _discord_search(rho, dims, distance, budget, rng, opt)
-    return value
+    return -_discord_search(rho, dims, distance, budget, rng, opt).best_value
 
 
-def _discord_search(rho, dims, distance, budget, rng, opt):
+def _discord_search(rho, dims, distance, budget, rng, opt) -> OptResult:
+    """The product-unitary search maximizing minus the composite
+    coherence, each batch of trial states minimized as one stack."""
     distance = get_distance(distance)
 
-    def neg_c(state):
-        return -coherence.c_distance(state, distance, opt)
+    def neg_c(states_):
+        return [-v for v in coherence.c_distances(states_, distance, opt)]
 
-    res = unitary_maximize(neg_c, rho, budget=budget, rng=rng, dims=dims)
-    return -res.best_value, res.best_unitary
+    return unitary_maximize(neg_c, rho, budget=budget, rng=rng, dims=dims)
 
 
 class IMaxCheck(NamedTuple):
@@ -306,7 +317,11 @@ def i_max_check(
         return max(sa + sb - s_rho, 0.0)
 
     res = unitary_maximize(
-        mutual_info, rho, budget=budget, rng=rng, extra_candidates=[_bell_rotation(rho, da)]
+        lambda states_: [mutual_info(s) for s in states_],
+        rho,
+        budget=budget,
+        rng=rng,
+        extra_candidates=[_bell_rotation(rho, da)],
     )
     pr = purity.p_rel_entropy(rho)
     return IMaxCheck(res.best_value, pr, pr - res.best_value)
@@ -344,14 +359,14 @@ def hierarchy_report(
     distance = get_distance(distance)
     p = purity.p_distance(rho, distance)
     cres = coherence.c_distance_result(rho, distance, opt)
-    dval, dunit = _discord_search(rho, dims, distance, budget, rng, opt)
+    search = _discord_search(rho, dims, distance, budget, rng, opt)
     return HierarchyReport(
         distance=distance.name,
         purity=p,
         coherence_n=cres.value,
-        discord_upper=dval,
+        discord_upper=-search.best_value,
         witness_q=cres.q,
-        witness_product_unitary=dunit,
+        witness_product_unitary=search.best_unitary,
     )
 
 
@@ -393,9 +408,9 @@ def max_hierarchy_check(
 
     inner_seed = int(rng.integers(0, 2**63 - 1))
 
-    def discord_at(state):
-        # fresh deterministic stream per evaluation keeps the objective pure
-        return discord_upper(state, dims, distance, inner_budget, linalg.stream(inner_seed), opt)
+    def discord_at(states_):
+        # fresh deterministic stream per state keeps the objective pure
+        return [discord_upper(s, dims, distance, inner_budget, linalg.stream(inner_seed), opt) for s in states_]
 
     res_d = unitary_maximize(discord_at, rho, budget=budget, rng=rng)
     return MaxHierarchyReport(

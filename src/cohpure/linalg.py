@@ -110,15 +110,18 @@ class EigenSystem:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Rotate every column so that its first component above PHASE_TOL,
+    its pivot, is real and nonnegative; all columns at once."""
     v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        if idx.size:
-            pivot = col[idx[0]]
-            col *= np.conj(pivot) / abs(pivot)
-            # kill residual imaginary dust on the pivot
-            col[idx[0]] = col[idx[0]].real
+    big = np.abs(v) > PHASE_TOL
+    cols = np.flatnonzero(big.any(axis=0))
+    rows = np.argmax(big[:, cols], axis=0)
+    pivot = v[rows, cols]
+    # hypot rounds as abs() of a complex scalar, which numpy's vectorized
+    # complex abs does not always do
+    v[:, cols] *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    # kill residual imaginary dust on the pivots
+    v[rows, cols] = v[rows, cols].real
     return v
 
 
@@ -217,7 +220,13 @@ def schatten_norm(m, p: float) -> float:
         return float(sv[0])
     if not (p >= 1.0):
         raise DomainError(f"Schatten norm requires p >= 1, got {p}")
-    return float(np.sum(sv**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(sv**p) ** (1.0 / p))
+        if (total == 0.0 or not math.isfinite(total)) and sv[0] > 0:
+            # at a huge order every term under- or overflows; scaled by
+            # the largest singular value, the sum cannot
+            total = float(sv[0] * np.sum((sv / sv[0]) ** p) ** (1.0 / p))
+    return total
 
 
 def trace_norm(m) -> float:

@@ -1,17 +1,19 @@
 """Minimization of contractive distances over the probability simplex of
 diagonal (incoherent) states.
 
-Where the minimum has a closed form (the relative entropy, Schatten-2,
+The engine, :func:`minimize_diags`, works on a stack of states. Where
+the minimum has a closed form (the relative entropy, Schatten-2,
 Petz--Renyi orders in (0,1), and the trace norm and fidelity on
 block-sparse states: every qubit, X and diagonal states), the distance's
-``closed_form_minimizer`` gives it exactly. Otherwise the optimizer is
-exponentiated-gradient mirror descent with multiple starts (Dirichlet
-draws plus the dephased state and the uniform point), step halving on
-non-improvement, and monotone acceptance: the returned value never exceeds
-the objective at any start, which downstream code relies on for certified
-upper bounds. Mirror descent also serves the tests as the oracle for the
-closed forms, and a dense grid search over the simplex as the independent
-verification oracle at small dimension.
+``closed_form_minimizer`` gives it exactly. The other states run one
+exponentiated-gradient mirror descent together, with multiple starts each
+(Dirichlet draws plus the dephased state and the uniform point), per-row
+step halving on non-improvement, and monotone acceptance: the returned
+value never exceeds the objective at any start, which downstream code
+relies on for certified upper bounds. Rows never interact, so each state's
+result is bit for bit that of a run on its own. Mirror descent also serves
+the tests as the oracle for the closed forms, and a dense grid search over
+the simplex as the independent verification oracle at small dimension.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "SimplexOptConfig",
     "SimplexResult",
     "minimize_diag",
+    "minimize_diags",
     "grid_minimize",
 ]
 
@@ -50,7 +53,8 @@ _MIN_STEP = 1e-12
 
 class Distance:
     """A contractive distance D(rho, sigma) together with a batched
-    value/gradient evaluator for sigma = diag(q) on the simplex."""
+    value/gradient evaluator for sigma = diag(q) on the simplex, over a
+    stack of states rho."""
 
     name = "distance"
     # annealing schedule of smoothing widths for non-smooth objectives;
@@ -67,15 +71,28 @@ class Distance:
     def closed_form_minimizer(self, rho):
         """Return (value, q): the exact minimum over diagonal states and a
         minimizer, where a formula is known for rho; else None, and
-        :func:`minimize_diag` runs mirror descent."""
+        :func:`minimize_diags` runs mirror descent."""
         return None
 
-    def diag_objective(self, rho, mu: float = 0.0):
+    def diag_objective(self, mats, mu: float = 0.0):
         """Return (value, grad) closures over batches Q of shape (R, d),
-        rows on the simplex: the objective of each row and its gradient in
-        q. ``mu`` is the smoothing width for distances that declare a
-        schedule."""
+        rows on the simplex, and their state indices s of shape (R,) into
+        the (N, d, d) stack ``mats`` (one matrix counts as a stack of one;
+        s defaults to state 0 for every row): the objective of each row
+        and its gradient in q. ``mu`` is the smoothing width for
+        distances that declare a schedule."""
         raise NotImplementedError
+
+
+def _stack(mats) -> np.ndarray:
+    """A (N, d, d) complex stack from one matrix or a stack of them."""
+    m = as_matrix(mats)
+    return m.reshape(-1, *m.shape[-2:])
+
+
+def _rows(Q, s):
+    """State index of every row of Q: ``s``, or state 0 when it is None."""
+    return np.zeros(Q.shape[0], dtype=np.intp) if s is None else s
 
 
 class RelEntropyDistance(Distance):
@@ -89,20 +106,23 @@ class RelEntropyDistance(Distance):
         value, _ = self.diag_objective(rho)
         return max(float(value(q[None, :])[0]), 0.0), q
 
-    def diag_objective(self, rho, mu: float = 0.0):
-        m = as_matrix(rho)
-        r = np.clip(np.real(np.diagonal(m)), 0.0, None)
+    def diag_objective(self, mats, mu: float = 0.0):
+        m = _stack(mats)
+        r = np.clip(np.real(np.diagonal(m, axis1=1, axis2=2)), 0.0, None)
         p = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-        c1 = float(np.sum(p[p > 0] * np.log2(p[p > 0])))
+        c1 = np.array([np.sum(pn[pn > 0] * np.log2(pn[pn > 0])) for pn in p])
 
-        def value(Q):
+        def value(Q, s=None):
+            s = _rows(Q, s)
+            rs = r[s]
             with np.errstate(divide="ignore", invalid="ignore"):
                 lg = np.log2(Q)
-                terms = np.where(r[None, :] > 0, r[None, :] * lg, 0.0)
-            return c1 - terms.sum(axis=1)
+                terms = np.where(rs > 0, rs * lg, 0.0)
+            return c1[s] - terms.sum(axis=1)
 
-        def grad(Q):
-            return np.where(r[None, :] > 0, -r[None, :] / (Q * LN2), 0.0)
+        def grad(Q, s=None):
+            rs = r[_rows(Q, s)]
+            return np.where(rs > 0, -rs / (Q * LN2), 0.0)
 
         return value, grad
 
@@ -140,14 +160,13 @@ class SchattenDistance(Distance):
         _, _, cij, cji = blocks
         return float(np.sum(cij + cji)), _dephased(m)
 
-    def diag_objective(self, rho, mu: float = 0.0):
-        m = as_matrix(rho)
-        d = m.shape[0]
+    def diag_objective(self, mats, mu: float = 0.0):
+        m = _stack(mats)
         p = self.p
-        idx = np.arange(d)
+        idx = np.arange(m.shape[-1])
 
-        def _moduli(Q):
-            A = np.broadcast_to(m, (Q.shape[0], d, d)).copy()
+        def _moduli(Q, s):
+            A = m[_rows(Q, s)]
             A[:, idx, idx] -= Q
             lam, vec = np.linalg.eigh(A)
             # the smoothing width folds into the moduli: sqrt(lam^2 + mu^2)
@@ -160,11 +179,11 @@ class SchattenDistance(Distance):
             top = np.maximum(a.max(axis=1), 1e-300)[:, None]
             return top[:, 0] * np.sum((a / top) ** p, axis=1) ** (1.0 / p)
 
-        def value(Q):
-            return _norm(_moduli(Q)[2])
+        def value(Q, s=None):
+            return _norm(_moduli(Q, s)[2])
 
-        def grad(Q):
-            lam, vec, a = _moduli(Q)
+        def grad(Q, s=None):
+            lam, vec, a = _moduli(Q, s)
             g_eig = lam / a if mu else np.sign(lam)
             if p != 1.0:
                 # d||A||_p/da_k = (a_k / ||A||_p)^(p-1)
@@ -203,28 +222,27 @@ class OneMinusFidelityDistance(Distance):
         q[i], q[j] = (t + root) * (1.0 + s) / 4.0, (t + root) * (1.0 - s) / 4.0
         return float(np.sum(t - root) / 2.0), q / q.sum()
 
-    def diag_objective(self, rho, mu: float = 0.0):
-        sq = linalg.mat_sqrt(as_matrix(rho))
+    def diag_objective(self, mats, mu: float = 0.0):
+        sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
 
-        def _decompose(Q):
-            B = np.einsum("ik,rk,kj->rij", sq, Q, sq)
-            B = (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0
-            lam, vec = np.linalg.eigh(B)
-            return np.clip(lam, 0.0, None), vec
+        def _inner(Q, s):
+            sqs = sq[s]
+            B = np.einsum("rik,rk,rkj->rij", sqs, Q, sqs)
+            return (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0, sqs
 
-        def value(Q):
-            B = np.einsum("ik,rk,kj->rij", sq, Q, sq)
-            B = (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0
-            lam = np.clip(np.linalg.eigvalsh(B), 0.0, None)
+        def value(Q, s=None):
+            lam = np.clip(np.linalg.eigvalsh(_inner(Q, _rows(Q, s))[0]), 0.0, None)
             return 1.0 - np.sum(np.sqrt(lam), axis=1) ** 2
 
-        def grad(Q):
-            lam, vec = _decompose(Q)
+        def grad(Q, s=None):
+            B, sqs = _inner(Q, _rows(Q, s))
+            lam, vec = np.linalg.eigh(B)
+            lam = np.clip(lam, 0.0, None)
             t = np.sum(np.sqrt(lam), axis=1)
             # support-restricted lam^(-1/2)
             cut = np.maximum(lam[:, -1:], 1e-300) * 1e-12
             inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
-            w = np.einsum("rik,ij->rkj", np.conj(vec), sq)
+            w = np.einsum("rik,rij->rkj", np.conj(vec), sqs)
             dt = 0.5 * np.einsum("rk,rki->ri", inv, np.abs(w) ** 2)
             return -2.0 * t[:, None] * dt
 
@@ -251,18 +269,19 @@ class PetzAlphaDivergence(Distance):
         total = float(w.sum())
         return a / (a - 1.0) * math.log2(total), w / total
 
-    def diag_objective(self, rho, mu: float = 0.0):
+    def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
-        coeff = _diag_power(rho, a)
+        coeff = np.stack([_diag_power(m, a) for m in _stack(mats)])
 
-        def value(Q):
-            t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
+        def value(Q, s=None):
+            t = np.einsum("ri,ri->r", coeff[_rows(Q, s)], Q ** (1.0 - a))
             return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
 
-        def grad(Q):
+        def grad(Q, s=None):
+            c = coeff[_rows(Q, s)]
             with np.errstate(divide="ignore", over="ignore"):
-                t = np.einsum("i,ri->r", coeff, Q ** (1.0 - a))
-                g = -coeff[None, :] * Q ** (-a) / (LN2 * np.maximum(t, 1e-300))[:, None]
+                t = np.einsum("ri,ri->r", c, Q ** (1.0 - a))
+                g = -c * Q ** (-a) / (LN2 * np.maximum(t, 1e-300))[:, None]
             return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
         return value, grad
@@ -289,10 +308,10 @@ class SandwichedAlphaDivergence(Distance):
     def between(self, rho, sigma):
         return linalg.sandwiched_renyi(rho, sigma, self.alpha)
 
-    def diag_objective(self, rho, mu: float = 0.0):
+    def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
         beta = (1.0 - a) / (2.0 * a)
-        m = as_matrix(rho)
+        m = _stack(mats)
 
         def _finish(t):
             with np.errstate(divide="ignore"):
@@ -303,16 +322,16 @@ class SandwichedAlphaDivergence(Distance):
             # quadratic form, no eigendecomposition
             A = np.abs(m) ** 2
 
-            def _trace_sq(Q):
+            def _trace_sq(Q, s):
                 w = 1.0 / np.sqrt(Q)
-                Aw = np.einsum("ij,rj->ri", A, w)
+                Aw = np.einsum("rij,rj->ri", A[_rows(Q, s)], w)
                 return w, Aw, np.einsum("ri,ri->r", w, Aw)
 
-            def value2(Q):
-                return _finish(_trace_sq(Q)[2])
+            def value2(Q, s=None):
+                return _finish(_trace_sq(Q, s)[2])
 
-            def grad2(Q):
-                w, Aw, t = _trace_sq(Q)
+            def grad2(Q, s=None):
+                w, Aw, t = _trace_sq(Q, s)
                 # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     g = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
@@ -320,21 +339,21 @@ class SandwichedAlphaDivergence(Distance):
 
             return value2, grad2
 
-        def _decompose(Q):
+        def _decompose(Q, s):
             w = Q**beta
-            M = m[None, :, :] * (w[:, :, None] * w[:, None, :])
+            M = m[_rows(Q, s)] * (w[:, :, None] * w[:, None, :])
             M = (M + np.conj(np.swapaxes(M, 1, 2))) / 2.0
             lam, vec = np.linalg.eigh(M)
             return np.clip(lam, 0.0, None), vec
 
-        def value(Q):
-            lam, _ = _decompose(Q)
+        def value(Q, s=None):
+            lam, _ = _decompose(Q, s)
             # extreme orders overflow lam^a to inf, which the value reports
             with np.errstate(over="ignore"):
                 return _finish(np.sum(lam**a, axis=1))
 
-        def grad(Q):
-            lam, vec = _decompose(Q)
+        def grad(Q, s=None):
+            lam, vec = _decompose(Q, s)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 la = lam**a
                 t = np.sum(la, axis=1)
@@ -409,73 +428,97 @@ def _blocks(m: np.ndarray):
 
 
 def _dephased(rho) -> np.ndarray:
-    q = np.clip(np.real(np.diagonal(as_matrix(rho))), 0.0, None)
-    return q / q.sum()
+    """Diagonal of rho as a distribution; rowwise over a stack."""
+    q = np.clip(np.real(np.diagonal(as_matrix(rho), axis1=-2, axis2=-1)), 0.0, None)
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def _starts(rho, cfg: SimplexOptConfig) -> np.ndarray:
-    d = as_matrix(rho).shape[0]
-    rows = [np.full(d, 1.0 / d), _dephased(rho)]
+def _starts(mats: np.ndarray, cfg: SimplexOptConfig) -> np.ndarray:
+    """(N, R, d) starting rows: for each state the uniform point, its
+    dephased state and ``cfg.restarts`` Dirichlet draws, the same draws
+    for every state."""
+    N, d = mats.shape[0], mats.shape[-1]
+    q = np.empty((N, 2 + cfg.restarts, d))
+    q[:, 0] = 1.0 / d
+    q[:, 1] = _dephased(mats)
     if cfg.restarts > 0:
         rng = linalg.stream(cfg.seed)
-        rows.extend(rng.dirichlet(np.ones(d)) for _ in range(cfg.restarts))
-    q = np.clip(np.asarray(rows), _FLOOR, None)
-    return q / q.sum(axis=1, keepdims=True)
+        q[:, 2:] = [rng.dirichlet(np.ones(d)) for _ in range(cfg.restarts)]
+    q = np.clip(q, _FLOOR, None)
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def _eg_stage(value, grad, Q, max_iter, rel_tol):
-    """One exponentiated-gradient descent run over a batch of starts with
-    per-row step halving; mutates and returns (Q, V, iterations, evals,
-    all_done). Rows never interact, so each iteration evaluates only the
-    rows that are still running; ``evals`` counts those evaluations."""
+def _eg_stage(value, grad, Q, s, max_iter, rel_tol):
+    """One exponentiated-gradient descent run over a batch of rows Q with
+    state indices s and per-row step halving; mutates Q and returns
+    (Q, V, iterations, done), the last two per row: the iterations the
+    row ran and whether it stopped before ``max_iter``. Rows never
+    interact, so each iteration evaluates only the rows that are still
+    running, and a row ends as it would in a batch of its own."""
     R = Q.shape[0]
-    V = value(Q)
+    V = value(Q, s)
     eta = np.full(R, _STEP0)
     stall = np.zeros(R, dtype=int)
     fails = np.zeros(R, dtype=int)
     done = np.zeros(R, dtype=bool)
-    evals = R
+    iters = np.zeros(R, dtype=int)
     it = 0
     while it < max_iter and not done.all():
         it += 1
         live = np.flatnonzero(~done)
-        Ql, Vl, el = Q[live], V[live], eta[live]
-        G = grad(Ql)
+        Ql, Vl, el, sl = Q[live], V[live], eta[live], s[live]
+        G = grad(Ql, sl)
         G = np.where(np.isfinite(G), G, 0.0)
         expo = -el[:, None] * (G - G.mean(axis=1, keepdims=True))
         Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
         Qn = np.clip(Qn, 1e-300, None)
         Qn /= Qn.sum(axis=1, keepdims=True)
-        Vn = value(Qn)
-        evals += 2 * live.size
+        Vn = value(Qn, sl)
+        iters[live] = it
         better = Vn < Vl
         # rows whose objective is infinite throughout (inf - inf) are never better
         with np.errstate(invalid="ignore"):
             meaningful = (Vl - Vn) > rel_tol * np.maximum(1.0, np.abs(Vl))
         Q[live[better]] = Qn[better]
         V[live[better]] = Vn[better]
-        sl = stall[live]
-        stall[live] = np.where(better, np.where(meaningful, 0, sl + 1), sl)
+        st = stall[live]
+        stall[live] = np.where(better, np.where(meaningful, 0, st + 1), st)
         fails[live] = np.where(better, 0, fails[live] + 1)
         eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * _STEP0), el / 2.0)
         done[live] = (eta[live] < _MIN_STEP) | (stall[live] >= 3) | (fails[live] >= 14)
-    return Q, V, it, evals, bool(done.all())
+    return Q, V, iters, done
 
 
 def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> SimplexResult:
-    """Minimize distance(rho, diag(q)) over the probability simplex.
+    """Minimize distance(rho, diag(q)) over the probability simplex: the
+    one-state stack of :func:`minimize_diags`."""
+    return minimize_diags(as_matrix(rho)[None], distance, cfg)[0]
 
-    The distance's closed form gives the exact minimum where one applies;
-    otherwise :func:`_mirror_descent` runs. A non-finite value is never
-    reported as converged, and a value in [-1e-12, 0) is reported as 0.
+
+def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
+    """Minimize distance(rho_n, diag(q)) over the probability simplex for
+    every state of a (N, d, d) stack; one SimplexResult per state.
+
+    Each state takes the distance's closed form where one applies; the
+    others run :func:`_mirror_descent` as one batch, in which every state
+    gets the value, q, iterations, evaluations and convergence flag of a
+    run on its own. A non-finite value is never reported as converged,
+    and a value in [-1e-12, 0) is reported as 0.
     """
     distance = get_distance(distance)
-    closed = distance.closed_form_minimizer(rho)
-    if closed is None:
-        res = _mirror_descent(rho, distance, cfg or SimplexOptConfig())
-    else:
-        value, q = closed
-        res = SimplexResult(value, q, True, 0, 1)
+    mats = _stack(mats)
+    results = []
+    for m in mats:
+        closed = distance.closed_form_minimizer(m)
+        results.append(None if closed is None else SimplexResult(closed[0], closed[1], True, 0, 1))
+    rest = [n for n, res in enumerate(results) if res is None]
+    if rest:
+        for n, res in zip(rest, _mirror_descent(mats[rest], distance, cfg or SimplexOptConfig())):
+            results[n] = res
+    return [_reported(res) for res in results]
+
+
+def _reported(res: SimplexResult) -> SimplexResult:
     if not math.isfinite(res.value):
         return replace(res, converged=False)
     if -1e-12 <= res.value < 0.0:
@@ -485,42 +528,48 @@ def minimize_diag(rho, distance, cfg: SimplexOptConfig | None = None) -> Simplex
     return res
 
 
-def _mirror_descent(rho, distance: Distance, cfg: SimplexOptConfig) -> SimplexResult:
-    """Multi-start mirror descent, the path for distances without a closed
-    form and the tests' oracle for those with one.
+def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
+    """Multi-start mirror descent over a stack of states, the path for
+    distances without a closed form and the tests' oracle for those with
+    one; one SimplexResult per state (one matrix counts as a stack of one).
 
     Non-smooth distances run through their annealed smoothing schedule
-    with warm starts. The final selection always re-includes the raw
-    starting points under the true objective, so the result never exceeds
-    the objective at the uniform or dephased starts regardless of where
-    the smoothed stages wandered.
+    with warm starts. The final selection always re-includes each state's
+    raw starting points under the true objective, so the result never
+    exceeds the objective at the uniform or dephased starts regardless of
+    where the smoothed stages wandered.
     """
-    starts = _starts(rho, cfg)
+    mats = _stack(mats)
+    starts = _starts(mats, cfg)
+    N, R, d = starts.shape
+    s = np.repeat(np.arange(N), R)
     schedule = distance.smoothing or (0.0,)
     stage_iters = max(cfg.max_iter // len(schedule), 50)
-    Q = starts.copy()
-    total_it = 0
-    total_ev = 0
-    all_done = False
+    Q = starts.reshape(N * R, d).copy()
+    total_it = np.zeros(N, dtype=int)
+    # R starting values per stage, then two evaluations per row iteration
+    total_ev = np.full(N, R * len(schedule), dtype=int)
     for mu in schedule:
-        value, grad = distance.diag_objective(rho, mu=mu)
+        value, grad = distance.diag_objective(mats, mu=mu)
         # intermediate smoothed landscapes only need to be solved to the
         # scale of their own smoothing width
         stage_tol = max(mu * 1e-2, _REL_TOL)
-        Q, _, it, ev, all_done = _eg_stage(value, grad, Q, stage_iters, stage_tol)
-        total_it += it
-        total_ev += ev
-    converged = all_done
-    true_value, _ = distance.diag_objective(rho, mu=0.0)
-    pool = np.vstack([Q, starts])
-    vals = true_value(pool)
-    total_ev += pool.shape[0]
-    best = int(np.argmin(vals))
-    q_best, v_best = pool[best].copy(), float(vals[best])
-    if cfg.polish and distance.needs_polish:
-        q_best, v_best, ev = _slsqp_polish(distance, rho, q_best, v_best)
-        total_ev += ev
-    return SimplexResult(v_best, q_best, converged, total_it, total_ev)
+        Q, _, iters, done = _eg_stage(value, grad, Q, s, stage_iters, stage_tol)
+        total_it += iters.reshape(N, R).max(axis=1)
+        total_ev += 2 * iters.reshape(N, R).sum(axis=1)
+    converged = done.reshape(N, R).all(axis=1)
+    true_value, _ = distance.diag_objective(mats, mu=0.0)
+    pool = np.concatenate([Q.reshape(N, R, d), starts], axis=1)
+    vals = true_value(pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R)).reshape(N, 2 * R)
+    total_ev += 2 * R
+    best = np.argmin(vals, axis=1)
+    results = []
+    for n in range(N):
+        q_best, v_best, ev = pool[n, best[n]].copy(), float(vals[n, best[n]]), 0
+        if cfg.polish and distance.needs_polish:
+            q_best, v_best, ev = _slsqp_polish(distance, mats[n], q_best, v_best)
+        results.append(SimplexResult(v_best, q_best, bool(converged[n]), int(total_it[n]), int(total_ev[n]) + ev))
+    return results
 
 
 def _slsqp_polish(distance, rho, q, v):
@@ -600,8 +649,16 @@ def _grid_eval(m: np.ndarray, distance: Distance, Q: np.ndarray) -> np.ndarray:
         cross = np.where(r[None, :] > 0, -r[None, :] * lg, 0.0).sum(axis=1)
         return c1 + cross
     if isinstance(distance, SchattenDistance):
-        lam = np.linalg.eigvalsh(m[None, :, :] - Q[:, :, None] * eye[None, :, :])
-        return np.sum(np.abs(lam) ** distance.p, axis=1) ** (1.0 / distance.p)
+        a = np.abs(np.linalg.eigvalsh(m[None, :, :] - Q[:, :, None] * eye[None, :, :]))
+        p = distance.p
+        with np.errstate(over="ignore"):
+            out = np.sum(a**p, axis=1) ** (1.0 / p)
+            # rows that a huge order under- or overflows are scaled by
+            # their largest modulus
+            top = a.max(axis=1)
+            bad = ((out == 0.0) | ~np.isfinite(out)) & (top > 0)
+            out[bad] = top[bad] * np.sum((a[bad] / top[bad, None]) ** p, axis=1) ** (1.0 / p)
+        return out
     if isinstance(distance, OneMinusFidelityDistance):
         sq = linalg.mat_sqrt(m)
         B = np.einsum("ik,rk,kj->rij", sq, Q, sq)

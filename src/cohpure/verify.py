@@ -253,7 +253,7 @@ def _cmax_identity(states_, rng) -> list:
                 worst_opt = max(worst_opt, gap)
             search_budget = Budget(2, 1) if rho.dim <= 4 else Budget(3, 0)
             res = correlations.unitary_maximize(
-                lambda s, _d=dist: c_distance(s, _d, ULTRA_OPT), rho, budget=search_budget, rng=rng
+                lambda ss, _d=dist: coherence.c_distances(ss, _d, ULTRA_OPT), rho, budget=search_budget, rng=rng
             )
             worst_exceed = max(worst_exceed, res.best_value - ceiling)
     return [

@@ -10,7 +10,7 @@ its tolerance has one implementation, in ``cohpure.verify``.
 import numpy as np
 
 from cohpure import linalg, verify
-from cohpure.coherence import apply_channel, c_distance, c_l1, mcms, mio_channel_from_unitary, optimal_unitary
+from cohpure.coherence import apply_channel, c_distances, c_l1, mcms, mio_channel_from_unitary, optimal_unitary
 from cohpure.correlations import Budget, unitary_maximize
 from cohpure.linalg import haar_unitary, stream
 from cohpure.purity import p_distance
@@ -44,7 +44,7 @@ def test_criterion_01_theorem2_exactness():
         for name in MENU:
             dist = get_distance(name)
             res = unitary_maximize(
-                lambda s, _d=dist: c_distance(s, _d, verify.ULTRA_OPT), rho, budget=Budget(6, 4), rng=rng
+                lambda ss, _d=dist: c_distances(ss, _d, verify.ULTRA_OPT), rho, budget=Budget(6, 4), rng=rng
             )
             worst_exceed = max(worst_exceed, res.best_value - p_distance(rho, dist))
     assert worst_exceed <= 1e-9
@@ -77,7 +77,9 @@ def test_criterion_04_l1_mio_violation():
     checks = verify._l1_mio_instance()
     # recorded seeded search witness through the single-unitary construction
     rho_max = mcms([0.5, 0.5, 0.0, 0.0], 4)
-    res = unitary_maximize(c_l1, diagonal([0.5, 0.5, 0.0, 0.0]), budget=Budget(8, 10), rng=stream(4))
+    res = unitary_maximize(
+        lambda ss: [c_l1(s) for s in ss], diagonal([0.5, 0.5, 0.0, 0.0]), budget=Budget(8, 10), rng=stream(4)
+    )
     v = optimal_unitary(diagonal([0.5, 0.5, 0.0, 0.0]))
     witness = res.best_unitary @ v.conj().T
     searched = c_l1(apply_channel(mio_channel_from_unitary(witness), rho_max)) - c_l1(rho_max)

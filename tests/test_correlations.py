@@ -1,9 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohpure.coherence import c_l1, c_rel_entropy, optimal_unitary
+from cohpure import correlations
+from cohpure.coherence import c_distances, c_l1, c_rel_entropy, optimal_unitary
 from cohpure.correlations import (
     Budget,
     c_N,
@@ -18,7 +21,7 @@ from cohpure.correlations import (
 )
 from cohpure.linalg import DomainError, ValidationError, haar_unitary, kron, stream
 from cohpure.purity import p_distance
-from cohpure.simplex import MENU
+from cohpure.simplex import MENU, SimplexOptConfig
 from cohpure.states import (
     diagonal,
     from_bloch,
@@ -33,6 +36,11 @@ from cohpure.verify import FAST_OPT, ULTRA_OPT
 BELL = pure([1, 0, 0, 1])
 
 
+def each(f):
+    """A list objective for unitary_maximize from a one-state function."""
+    return lambda states_: [f(s) for s in states_]
+
+
 def binary_entropy(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
@@ -41,23 +49,23 @@ class TestUnitaryMaximize:
     def test_attains_known_coherence_ceiling(self):
         rho = diagonal([0.9, 0.1])
         ceiling = 1.0 - binary_entropy(0.9)
-        res = unitary_maximize(c_rel_entropy, rho, budget=Budget(64, 200), rng=stream(1))
+        res = unitary_maximize(each(c_rel_entropy), rho, budget=Budget(64, 200), rng=stream(1))
         assert res.best_value >= ceiling - 1e-3
         assert res.best_value <= ceiling + 1e-9
 
     def test_maximally_mixed_is_flat(self):
-        res = unitary_maximize(c_rel_entropy, maximally_mixed(3), budget=Budget(8, 4), rng=stream(2))
+        res = unitary_maximize(each(c_rel_entropy), maximally_mixed(3), budget=Budget(8, 4), rng=stream(2))
         assert abs(res.best_value) <= 1e-9
 
     def test_bell_mutual_information_at_identity(self):
         res = unitary_maximize(
-            lambda s: mutual_information(s, (2, 2)), BELL, budget=Budget(4, 2), rng=stream(3)
+            each(lambda s: mutual_information(s, (2, 2))), BELL, budget=Budget(4, 2), rng=stream(3)
         )
         assert res.best_value >= 2.0 - 1e-12
 
     def test_result_invariants(self):
         rho = random_density(3, 2, stream(4))
-        res = unitary_maximize(c_rel_entropy, rho, budget=Budget(6, 3), rng=stream(5))
+        res = unitary_maximize(each(c_rel_entropy), rho, budget=Budget(6, 3), rng=stream(5))
         u = res.best_unitary
         conj = validate(u @ rho.mat @ u.conj().T)
         assert abs(c_rel_entropy(conj) - res.best_value) <= 1e-10
@@ -68,7 +76,7 @@ class TestUnitaryMaximize:
         rho = random_density(4, 3, stream(6))
         ceiling = p_distance(rho, "rel_entropy")
         res = unitary_maximize(
-            c_rel_entropy,
+            each(c_rel_entropy),
             rho,
             budget=Budget(2, 0),
             rng=stream(7),
@@ -82,13 +90,13 @@ class TestUnitaryMaximize:
             d = int(rng.integers(2, 5))
             rho = random_density(d, int(rng.integers(1, d + 1)), rng)
             ceiling = p_distance(rho, "rel_entropy")
-            res = unitary_maximize(c_rel_entropy, rho, budget=Budget(4, 2), rng=rng)
+            res = unitary_maximize(each(c_rel_entropy), rho, budget=Budget(4, 2), rng=rng)
             assert res.best_value <= ceiling + 1e-9
 
     def test_product_structure_stays_product(self):
         rho = random_density(4, 2, stream(9))
         res = unitary_maximize(
-            lambda s: mutual_information(s, (2, 2)),
+            each(lambda s: mutual_information(s, (2, 2))),
             rho,
             budget=Budget(4, 2),
             rng=stream(10),
@@ -99,7 +107,83 @@ class TestUnitaryMaximize:
 
     def test_zero_budget_rejected(self):
         with pytest.raises(DomainError):
-            unitary_maximize(c_rel_entropy, maximally_mixed(2), budget=Budget(0, 0), rng=stream(0))
+            unitary_maximize(each(c_rel_entropy), maximally_mixed(2), budget=Budget(0, 0), rng=stream(0))
+
+    @pytest.mark.parametrize("dims,trials", [(None, 2 * 16), ((2, 2), 2 * (4 + 4))], ids=["global", "product"])
+    def test_one_objective_call_per_batch(self, dims, trials):
+        # one call on all candidates, then one per climb pass on its
+        # 2 * sum_f d_f^2 trial states
+        sizes = []
+
+        def objective(states_):
+            sizes.append(len(states_))
+            return [c_rel_entropy(s) for s in states_]
+
+        extra = [haar_unitary(4, stream(13))] if dims is None else [(haar_unitary(2, stream(13)),) * 2]
+        res = unitary_maximize(
+            objective, random_density(4, 3, stream(12)), Budget(5, 3), stream(14), dims, extra_candidates=extra
+        )
+        assert sizes == [1 + len(extra) + 5] + [trials] * 3
+        assert res.evals == sum(sizes)
+
+
+def _recorded_searches(monkeypatch):
+    """The OptResults of every unitary_maximize call made through the
+    correlations module."""
+    results = []
+    original = correlations.unitary_maximize
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(correlations, "unitary_maximize", recording)
+    return results
+
+
+def _search_cases():
+    """Seeded searches pinned by tests/golden/unitary_search.json: discord
+    searches at the hierarchy command's simplex config and the default
+    one, a global coherence search at d = 3 and an I_max check."""
+    cases = {}
+    for distance in ("trace_norm", "one_minus_fidelity"):
+        for rank in (2, 4):
+            seed = 70 + rank
+            for cfg_name, opt in (
+                ("hierarchy", SimplexOptConfig(restarts=2, max_iter=600, polish=False, seed=seed)),
+                ("default", None),
+            ):
+                cases[f"discord_{distance}_rank{rank}_{cfg_name}"] = (
+                    lambda distance=distance, seed=seed, opt=opt, rank=rank: discord_upper(
+                        random_density(4, rank, stream(seed)), (2, 2), distance, Budget(2, 1), stream(seed + 1), opt
+                    )
+                )
+    cases["c_distance_trace_norm_d3"] = lambda: correlations.unitary_maximize(
+        lambda ss: c_distances(ss, "trace_norm", ULTRA_OPT),
+        random_density(3, 3, stream(80)),
+        budget=Budget(3, 2),
+        rng=stream(81),
+    )
+    cases["i_max_check_rank2"] = lambda: i_max_check(
+        random_density(4, 2, stream(90)), (2, 2), Budget(128, 300), stream(91)
+    )
+    return cases
+
+
+SEARCH_GOLDEN = json.loads((Path(__file__).parent / "golden" / "unitary_search.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_search_cases()))
+def test_search_golden(name, monkeypatch):
+    # generated before the searches scored their trial states as stacks:
+    # the batched objectives must reproduce the one-state-at-a-time bits
+    results = _recorded_searches(monkeypatch)
+    _search_cases()[name]()
+    (res,) = results
+    expected = SEARCH_GOLDEN[name]
+    unitary = np.array([[complex(re, im) for re, im in row] for row in expected["best_unitary"]])
+    assert res.best_value == expected["best_value"] and res.evals == expected["evals"]
+    assert np.array_equal(res.best_unitary, unitary)
 
 
 class TestNegativity:

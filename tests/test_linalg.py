@@ -78,6 +78,29 @@ class TestHermitianEig:
             lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
             assert lead.imag == 0.0 and lead.real >= 0.0
 
+    def test_phase_fix_matches_column_loop(self):
+        # the column-by-column phase fix that the vectorized one replaced
+        def loop(vectors):
+            v = vectors.copy()
+            for k in range(v.shape[1]):
+                col = v[:, k]
+                idx = np.flatnonzero(np.abs(col) > linalg.PHASE_TOL)
+                if idx.size:
+                    pivot = col[idx[0]]
+                    col *= np.conj(pivot) / abs(pivot)
+                    col[idx[0]] = col[idx[0]].real
+            return v
+
+        rng = stream(12)
+        for d in range(1, 65):
+            h = random_hermitian(d, rng)
+            # a zero-padded block puts the pivots of some columns below row 0
+            h[: d // 2, d // 2 :] = 0.0
+            h[d // 2 :, : d // 2] = 0.0
+            for m in (random_hermitian(d, rng), h, np.diag(rng.standard_normal(d)).astype(complex)):
+                vectors = np.linalg.eigh(m)[1]
+                assert np.array_equal(linalg._fix_phases(vectors), loop(vectors))
+
     def test_rejects_non_square_and_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eig(np.ones((2, 3)))
@@ -130,6 +153,14 @@ class TestSchattenNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             schatten_norm(X, 0.5)
+
+    def test_huge_order_is_the_operator_norm(self):
+        # every singular value below 1 underflows at p = 1e308
+        a = random_hermitian(3, stream(13)) / 10.0
+        top = float(np.abs(np.linalg.eigvalsh(a)).max())
+        assert top < 1.0
+        assert abs(schatten_norm(a, 1e308) - top) <= 1e-12
+        assert abs(schatten_norm(a * 20.0, 1e308) - 20.0 * top) <= 1e-12
 
     def test_norm_axioms_on_seeded_pairs(self):
         rng = stream(11)

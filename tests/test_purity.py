@@ -109,6 +109,11 @@ class TestPDistance:
     def test_trace_norm_bloch(self):
         assert abs(p_distance(from_bloch((0, 0, 0.8)), "trace_norm") - 0.8) <= 1e-12
 
+    def test_huge_schatten_order_is_the_operator_norm(self):
+        rho = random_density(3, 3, stream(14))
+        top = float(np.abs(np.linalg.eigvalsh(rho.mat - np.eye(3) / 3)).max())
+        assert abs(p_distance(rho, "schatten_1e308") - top) <= 1e-12
+
 
 class TestPCoherenceBased:
     def test_rel_entropy_chain(self):

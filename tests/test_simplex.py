@@ -23,6 +23,7 @@ from cohpure.simplex import (
     get_distance,
     grid_minimize,
     minimize_diag,
+    minimize_diags,
 )
 from cohpure.states import from_bloch, maximally_mixed, pure, random_density
 
@@ -164,6 +165,11 @@ class TestMinimizeDiag:
         with pytest.raises(DomainError):
             minimize_diag(random_density(3, 3, stream(10)).mat, name)
 
+    def test_huge_schatten_order_between_is_the_operator_norm(self):
+        rho = random_density(3, 3, stream(14)).mat
+        top = float(np.abs(np.linalg.eigvalsh(rho - np.eye(3) / 3)).max())
+        assert abs(get_distance("schatten_1e308").between(rho, np.eye(3) / 3) - top) <= 1e-12
+
     def test_huge_schatten_order_is_the_operator_norm(self):
         rho = random_density(3, 2, stream(11))
         with warnings.catch_warnings():
@@ -230,7 +236,7 @@ class TestClosedForms:
                     assert dist.closed_form_minimizer(rho) is None
                     continue
                 value, q = dist.closed_form_minimizer(rho)
-                oracle = _mirror_descent(rho, dist, SimplexOptConfig())
+                oracle = _mirror_descent(rho, dist, SimplexOptConfig())[0]
                 assert value <= oracle.value + slack
                 assert value >= oracle.value - 1e-7
                 grid, _ = grid_minimize(rho, dist, resolution=1e-4 if d == 2 else 2e-3)
@@ -251,7 +257,7 @@ class TestClosedForms:
             rho = _block_state(d, kind, rng)
             assert _block_sparse(rho)
             value, q = dist.closed_form_minimizer(rho)
-            oracle = _mirror_descent(rho, dist, SimplexOptConfig())
+            oracle = _mirror_descent(rho, dist, SimplexOptConfig())[0]
             assert -1e-9 <= value - oracle.value <= slack
             objective, _ = dist.diag_objective(rho)
             assert abs(objective(q[None, :])[0] - value) <= slack
@@ -331,16 +337,68 @@ class TestEgStage:
         ids=lambda x: getattr(x, "name", str(x)),
     )
     def test_batch_rows_match_solo_runs(self, dist, mu):
+        # the starts of three states share one batch in shuffled order;
+        # every row ends as it does in a batch of its own
         cfg = SimplexOptConfig(restarts=6)
         rng = stream(50)
-        for d, rank in ((3, 2), (4, 4)):
-            rho = random_density(d, rank, rng).mat
-            value, grad = dist.diag_objective(rho, mu=mu)
-            starts = _starts(rho, cfg)
-            Q, V, _, _, _ = _eg_stage(value, grad, starts.copy(), 400, 1e-10)
+        for d, ranks in ((3, (2, 3, 1)), (4, (4, 2, 1))):
+            mats = np.stack([random_density(d, rank, rng).mat for rank in ranks])
+            value, grad = dist.diag_objective(mats, mu=mu)
+            starts = _starts(mats, cfg).reshape(-1, d)
+            s = np.repeat(np.arange(len(ranks)), cfg.restarts + 2)
+            order = rng.permutation(starts.shape[0])
+            starts, s = starts[order], s[order]
+            Q, V, iters, done = _eg_stage(value, grad, starts.copy(), s, 400, 1e-10)
+            assert len(set(iters.tolist())) > 1
             for i in range(starts.shape[0]):
-                Qi, Vi, _, _, _ = _eg_stage(value, grad, starts[i : i + 1].copy(), 400, 1e-10)
+                solo_value, solo_grad = dist.diag_objective(mats[s[i]], mu=mu)
+                Qi, Vi, it_i, done_i = _eg_stage(
+                    solo_value, solo_grad, starts[i : i + 1].copy(), np.zeros(1, dtype=int), 400, 1e-10
+                )
                 assert np.array_equal(Qi[0], Q[i]) and Vi[0] == V[i]
+                assert (it_i[0], done_i[0]) == (iters[i], done[i])
+
+
+def _mixed_stack(d, rng):
+    """States of dimension d that take a closed form for every block rule
+    (a qubit block, a diagonal and an X state) beside states that need
+    mirror descent (dense full rank, pure and rank 2)."""
+    qubit = np.zeros((d, d), dtype=complex)
+    qubit[:2, :2] = random_density(2, 2, rng).mat
+    diag = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
+    dense = [random_density(d, rank, rng).mat for rank in (d, 1, 2)]
+    return np.stack([qubit, diag, _block_state(d, "x", rng), *dense])
+
+
+STACK_DISTANCES = [get_distance(name) for name in MENU] + [
+    PetzAlphaDivergence(0.5),
+    SandwichedAlphaDivergence(2.0),
+    SandwichedAlphaDivergence(3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    # the short run stops some trace-norm and fidelity states at max_iter
+    # and not others
+    [
+        SimplexOptConfig(restarts=2, max_iter=600, polish=False),
+        SimplexOptConfig(),
+        SimplexOptConfig(restarts=2, max_iter=60, polish=False),
+    ],
+    ids=["hierarchy_cli", "default", "short"],
+)
+@pytest.mark.parametrize("dist", STACK_DISTANCES, ids=lambda d: d.name)
+def test_stack_matches_solo_runs(dist, cfg):
+    rng = stream(55)
+    for d in (3, 4, 5):
+        mats = _mixed_stack(d, rng)
+        stacked = minimize_diags(mats, dist, cfg)
+        assert len(stacked) == len(mats)
+        for m, res in zip(mats, stacked):
+            solo = minimize_diag(m, dist, cfg)
+            assert res.value == solo.value and np.array_equal(res.q, solo.q)
+            assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
 
 
 def test_renyi2_quadratic_form_matches_eigendecomposition():
@@ -363,6 +421,12 @@ def test_renyi2_quadratic_form_matches_eigendecomposition():
 
 
 class TestGridOracle:
+    def test_huge_schatten_order_is_the_operator_norm(self):
+        rho = random_density(3, 3, stream(15)).mat
+        Q = _grid_points(3, 0.05)
+        top = np.abs(np.linalg.eigvalsh(rho[None, :, :] - Q[:, :, None] * np.eye(3)[None, :, :])).max(axis=1)
+        assert np.max(np.abs(_grid_eval(rho, SchattenDistance(1e308), Q) - top)) <= 1e-12
+
     def test_rejects_large_dimension(self):
         with pytest.raises(DomainError):
             grid_minimize(maximally_mixed(4).mat, "trace_norm")

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DomainError, FileNotFoundError) as exc:
+    except (ValidationError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

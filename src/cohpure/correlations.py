@@ -125,7 +125,7 @@ def unitary_maximize(
         factor_dims = (rho.dim,)
     else:
         factor_dims = (int(dims[0]), int(dims[1]))
-        if factor_dims[0] * factor_dims[1] != rho.dim:
+        if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != rho.dim:
             raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
     rng = rng if rng is not None else linalg.stream(0)
 
@@ -243,7 +243,7 @@ def c_N(rho: DensityMatrix, dims, distance, opt: SimplexOptConfig | None = None)
     the composite-space distance-based coherence."""
     rho = _as_state(rho)
     da, db = int(dims[0]), int(dims[1])
-    if da * db != rho.dim:
+    if min(da, db) < 1 or da * db != rho.dim:
         raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
     return coherence.c_distance(rho, distance, opt)
 

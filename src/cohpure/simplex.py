@@ -75,12 +75,14 @@ class Distance:
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
-        """Return (value, grad) closures over batches Q of shape (R, d),
-        rows on the simplex, and their state indices s of shape (R,) into
-        the (N, d, d) stack ``mats`` (one matrix counts as a stack of one;
-        s defaults to state 0 for every row): the objective of each row
-        and its gradient in q. ``mu`` is the smoothing width for
-        distances that declare a schedule."""
+        """Return the closure ``evaluate(Q, s=None) -> (V, G)`` over batches
+        Q of shape (R, d), rows on the simplex, and their state indices s of
+        shape (R,) into the (N, d, d) stack ``mats`` (one matrix counts as a
+        stack of one; s defaults to state 0 for every row): the objective V
+        of each row and its gradient G in q, both from one decomposition
+        of the row's matrix (the fidelity takes V from eigvalsh and G from
+        eigh). ``mu`` is the smoothing width for distances that declare a
+        schedule."""
         raise NotImplementedError
 
 
@@ -103,8 +105,7 @@ class RelEntropyDistance(Distance):
 
     def closed_form_minimizer(self, rho):
         q = _dephased(rho)
-        value, _ = self.diag_objective(rho)
-        return max(float(value(q[None, :])[0]), 0.0), q
+        return max(float(self.diag_objective(rho)(q[None, :])[0][0]), 0.0), q
 
     def diag_objective(self, mats, mu: float = 0.0):
         m = _stack(mats)
@@ -112,19 +113,15 @@ class RelEntropyDistance(Distance):
         p = np.clip(np.linalg.eigvalsh(m), 0.0, None)
         c1 = np.array([np.sum(pn[pn > 0] * np.log2(pn[pn > 0])) for pn in p])
 
-        def value(Q, s=None):
+        def evaluate(Q, s=None):
             s = _rows(Q, s)
             rs = r[s]
             with np.errstate(divide="ignore", invalid="ignore"):
-                lg = np.log2(Q)
-                terms = np.where(rs > 0, rs * lg, 0.0)
-            return c1[s] - terms.sum(axis=1)
+                terms = np.where(rs > 0, rs * np.log2(Q), 0.0)
+                G = np.where(rs > 0, -rs / (Q * LN2), 0.0)
+            return c1[s] - terms.sum(axis=1), G
 
-        def grad(Q, s=None):
-            rs = r[_rows(Q, s)]
-            return np.where(rs > 0, -rs / (Q * LN2), 0.0)
-
-        return value, grad
+        return evaluate
 
 
 class SchattenDistance(Distance):
@@ -165,33 +162,25 @@ class SchattenDistance(Distance):
         p = self.p
         idx = np.arange(m.shape[-1])
 
-        def _moduli(Q, s):
+        def evaluate(Q, s=None):
             A = m[_rows(Q, s)]
             A[:, idx, idx] -= Q
             lam, vec = np.linalg.eigh(A)
             # the smoothing width folds into the moduli: sqrt(lam^2 + mu^2)
-            return lam, vec, np.sqrt(lam**2 + mu**2) if mu else np.abs(lam)
-
-        def _norm(a):
-            if p == 1.0:
-                return np.sum(a, axis=1)
-            # scaled by the largest modulus, so that a^p cannot underflow
-            top = np.maximum(a.max(axis=1), 1e-300)[:, None]
-            return top[:, 0] * np.sum((a / top) ** p, axis=1) ** (1.0 / p)
-
-        def value(Q, s=None):
-            return _norm(_moduli(Q, s)[2])
-
-        def grad(Q, s=None):
-            lam, vec, a = _moduli(Q, s)
+            a = np.sqrt(lam**2 + mu**2) if mu else np.abs(lam)
             g_eig = lam / a if mu else np.sign(lam)
-            if p != 1.0:
+            if p == 1.0:
+                V = np.sum(a, axis=1)
+            else:
+                # scaled by the largest modulus, so that a^p cannot underflow
+                top = np.maximum(a.max(axis=1), 1e-300)[:, None]
+                V = top[:, 0] * np.sum((a / top) ** p, axis=1) ** (1.0 / p)
                 # d||A||_p/da_k = (a_k / ||A||_p)^(p-1)
-                g_eig = g_eig * (a / np.maximum(_norm(a), 1e-300)[:, None]) ** (p - 1.0)
+                g_eig = g_eig * (a / np.maximum(V, 1e-300)[:, None]) ** (p - 1.0)
             # d||A||_p / dq_i = -[V g(Lam) V^dag]_ii
-            return -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
+            return V, -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
 
-        return value, grad
+        return evaluate
 
 
 class OneMinusFidelityDistance(Distance):
@@ -225,17 +214,13 @@ class OneMinusFidelityDistance(Distance):
     def diag_objective(self, mats, mu: float = 0.0):
         sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
 
-        def _inner(Q, s):
-            sqs = sq[s]
+        def evaluate(Q, s=None):
+            sqs = sq[_rows(Q, s)]
             B = np.einsum("rik,rk,rkj->rij", sqs, Q, sqs)
-            return (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0, sqs
-
-        def value(Q, s=None):
-            lam = np.clip(np.linalg.eigvalsh(_inner(Q, _rows(Q, s))[0]), 0.0, None)
-            return 1.0 - np.sum(np.sqrt(lam), axis=1) ** 2
-
-        def grad(Q, s=None):
-            B, sqs = _inner(Q, _rows(Q, s))
+            B = (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0
+            # V from eigvalsh, which differs from eigh's eigenvalues in the
+            # last bits
+            V = 1.0 - np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(B), 0.0, None)), axis=1) ** 2
             lam, vec = np.linalg.eigh(B)
             lam = np.clip(lam, 0.0, None)
             t = np.sum(np.sqrt(lam), axis=1)
@@ -244,9 +229,9 @@ class OneMinusFidelityDistance(Distance):
             inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
             w = np.einsum("rik,rij->rkj", np.conj(vec), sqs)
             dt = 0.5 * np.einsum("rk,rki->ri", inv, np.abs(w) ** 2)
-            return -2.0 * t[:, None] * dt
+            return V, -2.0 * t[:, None] * dt
 
-        return value, grad
+        return evaluate
 
 
 class PetzAlphaDivergence(Distance):
@@ -273,18 +258,20 @@ class PetzAlphaDivergence(Distance):
         a = self.alpha
         coeff = np.stack([_diag_power(m, a) for m in _stack(mats)])
 
-        def value(Q, s=None):
-            t = np.einsum("ri,ri->r", coeff[_rows(Q, s)], Q ** (1.0 - a))
-            return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
-
-        def grad(Q, s=None):
+        def evaluate(Q, s=None):
             c = coeff[_rows(Q, s)]
-            with np.errstate(divide="ignore", over="ignore"):
-                t = np.einsum("ri,ri->r", c, Q ** (1.0 - a))
-                g = -c * Q ** (-a) / (LN2 * np.maximum(t, 1e-300))[:, None]
-            return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+            t = np.einsum("ri,ri->r", c, Q ** (1.0 - a))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                G = -c * Q ** (-a) / (LN2 * np.maximum(t, 1e-300))[:, None]
+            return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
 
-        return value, grad
+        return evaluate
+
+
+def _renyi_value(t, a: float) -> np.ndarray:
+    """log2(t) / (a - 1) rowwise, infinite where the trace t is 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
 
 
 def _diag_power(rho, a: float) -> np.ndarray:
@@ -312,58 +299,32 @@ class SandwichedAlphaDivergence(Distance):
         a = self.alpha
         beta = (1.0 - a) / (2.0 * a)
         m = _stack(mats)
+        # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a quadratic
+        # form, no eigendecomposition
+        A = np.abs(m) ** 2 if a == 2.0 else None
 
-        def _finish(t):
-            with np.errstate(divide="ignore"):
-                return np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
-
-        if a == 2.0:
-            # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a
-            # quadratic form, no eigendecomposition
-            A = np.abs(m) ** 2
-
-            def _trace_sq(Q, s):
-                w = 1.0 / np.sqrt(Q)
-                Aw = np.einsum("rij,rj->ri", A[_rows(Q, s)], w)
-                return w, Aw, np.einsum("ri,ri->r", w, Aw)
-
-            def value2(Q, s=None):
-                return _finish(_trace_sq(Q, s)[2])
-
-            def grad2(Q, s=None):
-                w, Aw, t = _trace_sq(Q, s)
-                # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    g = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
-                return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
-
-            return value2, grad2
-
-        def _decompose(Q, s):
-            w = Q**beta
-            M = m[_rows(Q, s)] * (w[:, :, None] * w[:, None, :])
-            M = (M + np.conj(np.swapaxes(M, 1, 2))) / 2.0
-            lam, vec = np.linalg.eigh(M)
-            return np.clip(lam, 0.0, None), vec
-
-        def value(Q, s=None):
-            lam, _ = _decompose(Q, s)
+        def evaluate(Q, s=None):
+            s = _rows(Q, s)
             # extreme orders overflow lam^a to inf, which the value reports
-            with np.errstate(over="ignore"):
-                return _finish(np.sum(lam**a, axis=1))
-
-        def grad(Q, s=None):
-            lam, vec = _decompose(Q, s)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                la = lam**a
-                t = np.sum(la, axis=1)
-                # diag of M^alpha, then dT/dq_i = 2 a beta (M^alpha)_ii / q_i
-                diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
-                dt = 2.0 * a * beta * diag_ma / Q
-                g = dt / ((a - 1.0) * LN2 * np.maximum(t, 1e-300))[:, None]
-            return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+                if A is not None:
+                    w = 1.0 / np.sqrt(Q)
+                    Aw = np.einsum("rij,rj->ri", A[s], w)
+                    t = np.einsum("ri,ri->r", w, Aw)
+                    # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
+                    G = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
+                else:
+                    w = Q**beta
+                    M = m[s] * (w[:, :, None] * w[:, None, :])
+                    lam, vec = np.linalg.eigh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0)
+                    la = np.clip(lam, 0.0, None) ** a
+                    t = np.sum(la, axis=1)
+                    # diag of M^alpha, then dT/dq_i = 2 a beta (M^alpha)_ii / q_i
+                    diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
+                    G = 2.0 * a * beta * diag_ma / Q / ((a - 1.0) * LN2 * np.maximum(t, 1e-300))[:, None]
+            return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
 
-        return value, grad
+        return evaluate
 
 
 MENU = ("rel_entropy", "trace_norm", "schatten_2", "one_minus_fidelity")
@@ -448,15 +409,16 @@ def _starts(mats: np.ndarray, cfg: SimplexOptConfig) -> np.ndarray:
     return q / q.sum(axis=-1, keepdims=True)
 
 
-def _eg_stage(value, grad, Q, s, max_iter, rel_tol):
+def _eg_stage(evaluate, Q, s, max_iter, rel_tol):
     """One exponentiated-gradient descent run over a batch of rows Q with
     state indices s and per-row step halving; mutates Q and returns
     (Q, V, iterations, done), the last two per row: the iterations the
-    row ran and whether it stopped before ``max_iter``. Rows never
-    interact, so each iteration evaluates only the rows that are still
-    running, and a row ends as it would in a batch of its own."""
+    row ran and whether it stopped before ``max_iter``. Each row keeps the
+    value and gradient of its accepted point, so an iteration makes one
+    ``evaluate`` call, at the trial points of the rows still running.
+    Rows never interact, and a row ends as it would in a batch of its own."""
     R = Q.shape[0]
-    V = value(Q, s)
+    V, G = evaluate(Q, s)
     eta = np.full(R, _STEP0)
     stall = np.zeros(R, dtype=int)
     fails = np.zeros(R, dtype=int)
@@ -466,14 +428,13 @@ def _eg_stage(value, grad, Q, s, max_iter, rel_tol):
     while it < max_iter and not done.all():
         it += 1
         live = np.flatnonzero(~done)
-        Ql, Vl, el, sl = Q[live], V[live], eta[live], s[live]
-        G = grad(Ql, sl)
-        G = np.where(np.isfinite(G), G, 0.0)
-        expo = -el[:, None] * (G - G.mean(axis=1, keepdims=True))
+        Ql, Vl, Gl, el, sl = Q[live], V[live], G[live], eta[live], s[live]
+        Gl = np.where(np.isfinite(Gl), Gl, 0.0)
+        expo = -el[:, None] * (Gl - Gl.mean(axis=1, keepdims=True))
         Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
         Qn = np.clip(Qn, 1e-300, None)
         Qn /= Qn.sum(axis=1, keepdims=True)
-        Vn = value(Qn, sl)
+        Vn, Gn = evaluate(Qn, sl)
         iters[live] = it
         better = Vn < Vl
         # rows whose objective is infinite throughout (inf - inf) are never better
@@ -481,6 +442,7 @@ def _eg_stage(value, grad, Q, s, max_iter, rel_tol):
             meaningful = (Vl - Vn) > rel_tol * np.maximum(1.0, np.abs(Vl))
         Q[live[better]] = Qn[better]
         V[live[better]] = Vn[better]
+        G[live[better]] = Gn[better]
         st = stall[live]
         stall[live] = np.where(better, np.where(meaningful, 0, st + 1), st)
         fails[live] = np.where(better, 0, fails[live] + 1)
@@ -547,20 +509,18 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     stage_iters = max(cfg.max_iter // len(schedule), 50)
     Q = starts.reshape(N * R, d).copy()
     total_it = np.zeros(N, dtype=int)
-    # R starting values per stage, then two evaluations per row iteration
+    # R starting values per stage, then a value and a gradient per row iteration
     total_ev = np.full(N, R * len(schedule), dtype=int)
     for mu in schedule:
-        value, grad = distance.diag_objective(mats, mu=mu)
         # intermediate smoothed landscapes only need to be solved to the
         # scale of their own smoothing width
         stage_tol = max(mu * 1e-2, _REL_TOL)
-        Q, _, iters, done = _eg_stage(value, grad, Q, s, stage_iters, stage_tol)
+        Q, _, iters, done = _eg_stage(distance.diag_objective(mats, mu=mu), Q, s, stage_iters, stage_tol)
         total_it += iters.reshape(N, R).max(axis=1)
         total_ev += 2 * iters.reshape(N, R).sum(axis=1)
     converged = done.reshape(N, R).all(axis=1)
-    true_value, _ = distance.diag_objective(mats, mu=0.0)
     pool = np.concatenate([Q.reshape(N, R, d), starts], axis=1)
-    vals = true_value(pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R)).reshape(N, 2 * R)
+    vals = distance.diag_objective(mats)(pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R))[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
     results = []
@@ -578,14 +538,14 @@ def _slsqp_polish(distance, rho, q, v):
     inside it; SLSQP closes the last ~1e-5. Acceptance stays monotone."""
     from scipy.optimize import minimize as _scipy_minimize
 
-    value, grad = distance.diag_objective(rho)
+    evaluate = distance.diag_objective(rho)
     d = q.size
 
     def fun(x):
-        return float(value(np.clip(x, 0.0, None)[None, :])[0])
+        return float(evaluate(np.clip(x, 0.0, None)[None, :])[0][0])
 
     def jac(x):
-        return grad(np.clip(x, 1e-14, None)[None, :])[0]
+        return evaluate(np.clip(x, 1e-14, None)[None, :])[1][0]
 
     res = _scipy_minimize(
         fun,

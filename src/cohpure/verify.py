@@ -27,7 +27,7 @@ from . import coherence, correlations, linalg, majorization, purity, states
 from .coherence import apply_channel, c_alpha, c_distance, c_l1, c_rel_entropy, mcms, optimal_unitary
 from .correlations import Budget
 from .linalg import DomainError
-from .simplex import MENU, SimplexOptConfig, get_distance
+from .simplex import MENU, PetzAlphaDivergence, SandwichedAlphaDivergence, SimplexOptConfig, get_distance
 from .states import random_density
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES"]
@@ -99,19 +99,17 @@ def _random_io_case(rng):
 def _mcms_universality(cases) -> list:
     """No rotation of an MCMS raises a monotone above its MCMS value.
     ``cases``: (rho_max, unitaries) pairs."""
+    # the menu distances, then the divergences of c_alpha at orders 0.5 and 2
+    monotones = [*MENU, PetzAlphaDivergence(0.5), SandwichedAlphaDivergence(2.0)]
     worst_closed, worst_opt = 0.0, 0.0
     for rho_max, unitaries in cases:
+        rotated = [states.validate(u @ rho_max.mat @ np.conj(u).T) for u in unitaries]
         ceiling_r = c_rel_entropy(rho_max)
-        ceilings = {name: c_distance(rho_max, name, FAST_OPT) for name in MENU}
-        ceilings["alpha_0.5"] = c_alpha(rho_max, 0.5, FAST_OPT)
-        ceilings["alpha_2"] = c_alpha(rho_max, 2.0, FAST_OPT)
-        for u in unitaries:
-            rotated = states.validate(u @ rho_max.mat @ np.conj(u).T)
-            worst_closed = max(worst_closed, c_rel_entropy(rotated) - ceiling_r)
-            for name in MENU:
-                worst_opt = max(worst_opt, c_distance(rotated, name, FAST_OPT) - ceilings[name])
-            worst_opt = max(worst_opt, c_alpha(rotated, 0.5, FAST_OPT) - ceilings["alpha_0.5"])
-            worst_opt = max(worst_opt, c_alpha(rotated, 2.0, FAST_OPT) - ceilings["alpha_2"])
+        worst_closed = max([worst_closed] + [c_rel_entropy(r) - ceiling_r for r in rotated])
+        for monotone in monotones:
+            # rho_max and its rotations, minimized as one stack
+            ceiling, *values = coherence.c_distances([rho_max, *rotated], monotone, FAST_OPT)
+            worst_opt = max([worst_opt] + [v - ceiling for v in values])
     return [
         CheckResult(
             "mcms_universal_closed_form",

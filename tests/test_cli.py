@@ -195,6 +195,26 @@ class TestMalformedInput:
         err = self._exit_and_error(["hierarchy", "--state", str(path), "--dims", "4,1"], capsys)
         assert "dims" in err
 
+    def test_negative_hierarchy_dims(self, tmp_path, capsys):
+        # (-2) * (-2) = 4: the product alone does not catch negative factors
+        path = tmp_path / "bell.json"
+        io.write_state(path, pure([1, 0, 0, 1]))
+        err = self._exit_and_error(["hierarchy", "--state", str(path), "--dims=-2,-2"], capsys)
+        assert "dims" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bloch", "--grid", "3", "--quantifier", "c_l1"],
+            ["mcms", "--spectrum", "0.9,0.1", "--dim", "2"],
+            ["random", "--dim", "2", "--rank", "1", "--seed", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_names_a_directory(self, argv, tmp_path, capsys):
+        err = self._exit_and_error(argv + ["--out", str(tmp_path)], capsys)
+        assert str(tmp_path) in err
+
     def test_negative_trials(self, capsys):
         err = self._exit_and_error(["verify", "--suite", "majorization", "--trials", "-3"], capsys)
         assert "trials" in err

@@ -271,8 +271,10 @@ class TestCompositeCoherence:
         assert c_N(maximally_mixed(4), (2, 2), "rel_entropy") <= 1e-12
 
     def test_dims_must_match(self):
-        with pytest.raises(ValidationError):
-            c_N(BELL, (2, 3), "rel_entropy")
+        # (-2) * (-2) = 4: negative factors fail on their own
+        for dims in ((2, 3), (-2, -2)):
+            with pytest.raises(ValidationError):
+                c_N(BELL, dims, "rel_entropy")
 
 
 class TestDiscordUpper:

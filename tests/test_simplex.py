@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from cohpure.linalg import DomainError, haar_unitary, stream
 from cohpure.simplex import (
+    _EXP_CLIP,
+    _MIN_STEP,
+    _STEP0,
     LN2,
     MENU,
     OneMinusFidelityDistance,
@@ -38,13 +41,13 @@ ALL_FAMILIES = [
 ]
 
 
-def _fd_grad(value, q, h=1e-6):
+def _fd_grad(evaluate, q, h=1e-6):
     g = np.zeros_like(q)
     for i in range(q.size):
         up, dn = q.copy(), q.copy()
         up[i] += h
         dn[i] -= h
-        g[i] = (value(up[None, :])[0] - value(dn[None, :])[0]) / (2 * h)
+        g[i] = (evaluate(up[None, :])[0][0] - evaluate(dn[None, :])[0][0]) / (2 * h)
     return g
 
 
@@ -53,11 +56,11 @@ def _assert_gradient_matches_finite_differences(dist, mu=0.0):
     for _ in range(4):
         d = int(rng.integers(2, 5))
         rho = random_density(d, d, rng)
-        value, grad = dist.diag_objective(rho.mat, mu=mu)
+        evaluate = dist.diag_objective(rho.mat, mu=mu)
         q = rng.dirichlet(np.ones(d)) * 0.9 + 0.1 / d  # interior point
         q = q / q.sum()
-        g = grad(q[None, :])
-        fd = _fd_grad(value, q)
+        g = evaluate(q[None, :])[1]
+        fd = _fd_grad(evaluate, q)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(g[0] - fd)) / scale <= 1e-4
 
@@ -79,9 +82,8 @@ class TestDiagObjectives:
             rho = random_density(d, d, rng)
             q = rng.dirichlet(np.ones(d)) * 0.9 + 0.1 / d
             q = q / q.sum()
-            value, _ = dist.diag_objective(rho.mat)
-            direct = dist.between(rho.mat, np.diag(q).astype(complex))
-            assert abs(value(q[None, :])[0] - direct) <= 1e-9
+            value = dist.diag_objective(rho.mat)(q[None, :])[0][0]
+            assert abs(value - dist.between(rho.mat, np.diag(q).astype(complex))) <= 1e-9
 
 
 class TestMinimizeDiag:
@@ -259,8 +261,7 @@ class TestClosedForms:
             value, q = dist.closed_form_minimizer(rho)
             oracle = _mirror_descent(rho, dist, SimplexOptConfig())[0]
             assert -1e-9 <= value - oracle.value <= slack
-            objective, _ = dist.diag_objective(rho)
-            assert abs(objective(q[None, :])[0] - value) <= slack
+            assert abs(dist.diag_objective(rho)(q[None, :])[0][0] - value) <= slack
             if d == 3:
                 grid, _ = grid_minimize(rho, dist, resolution=2e-3)
                 assert grid - 1e-2 <= value <= grid + 1e-9
@@ -322,10 +323,59 @@ def test_closed_form_properties(dist, max_block, rho):
     # measured by the optimizers' own objective, so that both sides carry
     # the same eigenvalue dust (fractional powers amplify it, and the
     # fidelity formula bypasses the matrix square root)
-    objective, _ = dist.diag_objective(rho)
+    evaluate = dist.diag_objective(rho)
     tol = 1e-7 if isinstance(dist, OneMinusFidelityDistance) else 1e-9
-    assert value <= objective(np.full((1, d), 1.0 / d))[0] + tol
-    assert abs(value - objective(q[None, :])[0]) <= tol
+    assert value <= evaluate(np.full((1, d), 1.0 / d))[0][0] + tol
+    assert abs(value - evaluate(q[None, :])[0][0]) <= tol
+
+
+# every menu distance (the trace norm at each smoothing width), Schatten-3,
+# Petz 0.5 and sandwiched 2 and 3
+ORACLE_OBJECTIVES = [
+    *((get_distance(name), 0.0) for name in MENU if name != "trace_norm"),
+    *((SchattenDistance(1.0), mu) for mu in SchattenDistance(1.0).smoothing),
+    (SchattenDistance(3.0), 0.0),
+    (PetzAlphaDivergence(0.5), 0.0),
+    (SandwichedAlphaDivergence(2.0), 0.0),
+    (SandwichedAlphaDivergence(3.0), 0.0),
+]
+
+
+def _fresh_gradient_stage(evaluate, Q, s, max_iter, rel_tol):
+    """Reference loop of :func:`_eg_stage` that carries no gradient: each
+    iteration takes a fresh gradient at the accepted rows, then the value
+    at the trial rows."""
+    R = Q.shape[0]
+    V = evaluate(Q, s)[0]
+    eta = np.full(R, _STEP0)
+    stall = np.zeros(R, dtype=int)
+    fails = np.zeros(R, dtype=int)
+    done = np.zeros(R, dtype=bool)
+    iters = np.zeros(R, dtype=int)
+    it = 0
+    while it < max_iter and not done.all():
+        it += 1
+        live = np.flatnonzero(~done)
+        Ql, Vl, el, sl = Q[live], V[live], eta[live], s[live]
+        G = evaluate(Ql, sl)[1]
+        G = np.where(np.isfinite(G), G, 0.0)
+        expo = -el[:, None] * (G - G.mean(axis=1, keepdims=True))
+        Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
+        Qn = np.clip(Qn, 1e-300, None)
+        Qn /= Qn.sum(axis=1, keepdims=True)
+        Vn = evaluate(Qn, sl)[0]
+        iters[live] = it
+        better = Vn < Vl
+        with np.errstate(invalid="ignore"):
+            meaningful = (Vl - Vn) > rel_tol * np.maximum(1.0, np.abs(Vl))
+        Q[live[better]] = Qn[better]
+        V[live[better]] = Vn[better]
+        st = stall[live]
+        stall[live] = np.where(better, np.where(meaningful, 0, st + 1), st)
+        fails[live] = np.where(better, 0, fails[live] + 1)
+        eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * _STEP0), el / 2.0)
+        done[live] = (eta[live] < _MIN_STEP) | (stall[live] >= 3) | (fails[live] >= 14)
+    return Q, V, iters, done
 
 
 class TestEgStage:
@@ -343,20 +393,36 @@ class TestEgStage:
         rng = stream(50)
         for d, ranks in ((3, (2, 3, 1)), (4, (4, 2, 1))):
             mats = np.stack([random_density(d, rank, rng).mat for rank in ranks])
-            value, grad = dist.diag_objective(mats, mu=mu)
+            evaluate = dist.diag_objective(mats, mu=mu)
             starts = _starts(mats, cfg).reshape(-1, d)
             s = np.repeat(np.arange(len(ranks)), cfg.restarts + 2)
             order = rng.permutation(starts.shape[0])
             starts, s = starts[order], s[order]
-            Q, V, iters, done = _eg_stage(value, grad, starts.copy(), s, 400, 1e-10)
+            Q, V, iters, done = _eg_stage(evaluate, starts.copy(), s, 400, 1e-10)
             assert len(set(iters.tolist())) > 1
             for i in range(starts.shape[0]):
-                solo_value, solo_grad = dist.diag_objective(mats[s[i]], mu=mu)
                 Qi, Vi, it_i, done_i = _eg_stage(
-                    solo_value, solo_grad, starts[i : i + 1].copy(), np.zeros(1, dtype=int), 400, 1e-10
+                    dist.diag_objective(mats[s[i]], mu=mu), starts[i : i + 1].copy(), np.zeros(1, dtype=int),
+                    400, 1e-10,
                 )
                 assert np.array_equal(Qi[0], Q[i]) and Vi[0] == V[i]
                 assert (it_i[0], done_i[0]) == (iters[i], done[i])
+
+    @pytest.mark.parametrize("dist,mu", ORACLE_OBJECTIVES, ids=lambda x: getattr(x, "name", str(x)))
+    def test_carried_gradient_matches_fresh_gradient(self, dist, mu):
+        # the gradient an accepted row carries is the bits a fresh
+        # decomposition of that row gives
+        cfg = SimplexOptConfig(restarts=4)
+        rng = stream(51)
+        for d in (3, 4, 5):
+            mats = np.stack([random_density(d, rank, rng).mat for rank in (d, 1, 2, d - 1)])
+            starts = _starts(mats, cfg).reshape(-1, d)
+            s = np.repeat(np.arange(len(mats)), cfg.restarts + 2)
+            evaluate = dist.diag_objective(mats, mu=mu)
+            got = _eg_stage(evaluate, starts.copy(), s, 300, 1e-10)
+            want = _fresh_gradient_stage(evaluate, starts.copy(), s, 300, 1e-10)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def _mixed_stack(d, rng):
@@ -407,17 +473,16 @@ def test_renyi2_quadratic_form_matches_eigendecomposition():
     for d in (1, 2, 3, 5, 6):
         rho = random_density(d, int(rng.integers(1, d + 1)), rng).mat
         Q = rng.dirichlet(np.ones(d), size=8)
-        value, grad = SandwichedAlphaDivergence(a).diag_objective(rho)
+        V, g = SandwichedAlphaDivergence(a).diag_objective(rho)(Q)
         w = Q**beta
         lam, vec = np.linalg.eigh(rho[None, :, :] * (w[:, :, None] * w[:, None, :]))
         la = np.clip(lam, 0.0, None) ** a
         t = la.sum(axis=1)
         ref_v = np.log2(t) / (a - 1.0)
         ref_g = 2 * a * beta * np.einsum("rik,rk->ri", np.abs(vec) ** 2, la) / Q / ((a - 1.0) * LN2 * t)[:, None]
-        g = grad(Q)
-        assert np.max(np.abs(value(Q) - ref_v)) <= 1e-13
+        assert np.max(np.abs(V - ref_v)) <= 1e-13
         assert np.max(np.abs(g - ref_g)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref_g))))
-        assert np.max(np.abs(value(Q) - _grid_eval(rho, SandwichedAlphaDivergence(a), Q))) <= 1e-13
+        assert np.max(np.abs(V - _grid_eval(rho, SandwichedAlphaDivergence(a), Q))) <= 1e-13
 
 
 class TestGridOracle:

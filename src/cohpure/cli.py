@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as io_module
 import json
 import math
@@ -45,8 +46,7 @@ BLOCH_QUANTIFIERS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, DomainError, OSError) as exc:
@@ -54,7 +54,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it, and
+    every call gets a fresh namespace and fresh lists for ``append``."""
     parser = argparse.ArgumentParser(
         prog="cohpure",
         description="Coherence, purity, and correlation quantifiers for density matrices.",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import coherence, linalg, purity, states
 from .linalg import DomainError, ValidationError, dagger
-from .simplex import SimplexOptConfig, get_distance
+from .simplex import SimplexOptConfig, get_distance, minimize_diags
 from .states import DensityMatrix, _as_state, _trusted
 
 __all__ = [
@@ -102,7 +102,8 @@ def unitary_maximize(
 ) -> OptResult:
     """Maximize objective(U rho U^dag) over unitaries: over all of them
     when ``dims`` is None, else over products U_A (x) U_B with the
-    subsystem dimensions ``dims``.
+    subsystem dimensions ``dims``. This is the one-state case of
+    :func:`_maximize_all`, which climbs a list of states in lockstep.
 
     ``objective`` takes a list of states and returns their values, so
     that a batch of trial states can be scored as one stack. It is called
@@ -117,74 +118,102 @@ def unitary_maximize(
     ``extra_candidates`` entries are single matrices for a global
     search and (U_A, U_B) factor tuples for a product search.
     """
-    rho = _as_state(rho)
+    rng = rng if rng is not None else linalg.stream(0)
+    return _maximize_all(objective, [rho], budget, [rng], dims, extra_candidates)[0]
+
+
+class _Climb:
+    """One state's search: its state, current factors, values and step."""
+
+    def __init__(self, rho, factors, value, evals):
+        self.rho = rho
+        self.factors = [f.copy() for f in factors]
+        self.value = self.candidate_value = value
+        self.evals = evals
+        self.eps = EPS_START
+        self.passes = 0
+
+    def result(self) -> OptResult:
+        return OptResult(
+            best_value=self.value,
+            best_unitary=_compose(self.factors),
+            evals=self.evals,
+            improved_by_refinement=self.value - self.candidate_value,
+        )
+
+
+def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=()) -> list:
+    """:func:`unitary_maximize` of every state in ``rhos``, the n-th
+    drawing its Haar candidates from ``rngs[n]``; the searches climb in
+    lockstep. The first objective call scores the candidates of every
+    state, and each pass makes one call on the trial states of every climb
+    still running. The objective scores rows independently, so each
+    state's OptResult, evals included, is that of a search on its own."""
+    rhos = [_as_state(rho) for rho in rhos]
     budget = Budget(*budget)
     if budget.restarts < 0 or budget.refine_iters < 0 or sum(budget) == 0:
         raise DomainError(f"budget must allow some work, got {budget}")
+    dim = rhos[0].dim
     if dims is None:
-        factor_dims = (rho.dim,)
+        factor_dims = (dim,)
     else:
         factor_dims = (int(dims[0]), int(dims[1]))
-        if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != rho.dim:
-            raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
-    rng = rng if rng is not None else linalg.stream(0)
+        if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != dim:
+            raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
 
-    def conj_values(fulls):
-        return [float(v) for v in objective([_trusted(u @ rho.mat @ dagger(u)) for u in fulls])]
+    def conj_values(pairs):
+        return [float(v) for v in objective([_trusted(u @ rho.mat @ dagger(u)) for rho, u in pairs])]
 
-    candidates = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
+    fixed = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
     for u in extra_candidates:
-        candidates.append((np.asarray(u, dtype=complex),) if dims is None else tuple(u))
-    for _ in range(budget.restarts):
-        candidates.append(tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims))
+        fixed.append((np.asarray(u, dtype=complex),) if dims is None else tuple(u))
+    candidates = [
+        fixed + [tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims) for _ in range(budget.restarts)]
+        for rng in rngs
+    ]
+    values = iter(conj_values([(rho, _compose(f)) for rho, cands in zip(rhos, candidates) for f in cands]))
+    climbs = []
+    for rho, cands in zip(rhos, candidates):
+        vals = [next(values) for _ in cands]
+        best = int(np.argmax(vals))
+        climbs.append(_Climb(rho, cands[best], vals[best], len(vals)))
 
-    values = conj_values([_compose(f) for f in candidates])
-    evals = len(values)
-    best_idx = int(np.argmax(values))
-    best_val = values[best_idx]
-    factors = [f.copy() for f in candidates[best_idx]]
-    candidate_val = best_val
-
-    eps = EPS_START
-    passes = 0
     specs = [_generator_specs(fd) for fd in factor_dims]
-    while passes < budget.refine_iters and eps > EPS_STOP:
-        passes += 1
-        moves = [
-            (f_idx, _generator_step(fd, spec, sign * eps))
-            for f_idx, fd in enumerate(factor_dims)
-            for spec in specs[f_idx]
-            for sign in (1.0, -1.0)
-        ]
+    while running := [c for c in climbs if c.passes < budget.refine_iters and c.eps > EPS_STOP]:
+        moves = []
+        for c in running:
+            c.passes += 1
+            moves.append([
+                (f_idx, _generator_step(fd, spec, sign * c.eps))
+                for f_idx, fd in enumerate(factor_dims)
+                for spec in specs[f_idx]
+                for sign in (1.0, -1.0)
+            ])
         trials = []
-        for f_idx, step in moves:
-            trial = list(factors)
-            trial[f_idx] = factors[f_idx] @ step
-            trials.append(_compose(trial))
-        trial_values = conj_values(trials)
-        evals += len(trial_values)
-        # the scan keeps the first strict improvement, as a sequential
-        # climb would
-        best_move = None
-        best_move_val = best_val
-        for move, v in zip(moves, trial_values):
-            if v > best_move_val + 1e-15:
-                best_move_val = v
-                best_move = move
-        if best_move is None:
-            eps /= 2.0
-        else:
-            f_idx, step = best_move
-            factors[f_idx] = factors[f_idx] @ step
-            best_val = best_move_val
-
-    best_full = _compose(factors)
-    return OptResult(
-        best_value=best_val,
-        best_unitary=best_full,
-        evals=evals,
-        improved_by_refinement=best_val - candidate_val,
-    )
+        for c, climb_moves in zip(running, moves):
+            for f_idx, step in climb_moves:
+                trial = list(c.factors)
+                trial[f_idx] = c.factors[f_idx] @ step
+                trials.append((c.rho, _compose(trial)))
+        values = iter(conj_values(trials))
+        for c, climb_moves in zip(running, moves):
+            c.evals += len(climb_moves)
+            # the scan keeps the first strict improvement, as a sequential
+            # climb would
+            best_move = None
+            best_move_val = c.value
+            for move in climb_moves:
+                v = next(values)
+                if v > best_move_val + 1e-15:
+                    best_move_val = v
+                    best_move = move
+            if best_move is None:
+                c.eps /= 2.0
+            else:
+                f_idx, step = best_move
+                c.factors[f_idx] = c.factors[f_idx] @ step
+                c.value = best_move_val
+    return [c.result() for c in climbs]
 
 
 def negativity(rho: DensityMatrix, dims) -> float:
@@ -259,18 +288,22 @@ def discord_upper(
     """Certified upper bound on distance-based discord: the composite
     coherence minimized over sampled and refined product unitaries
     (the identity included, so the bound never exceeds c_N)."""
-    return -_discord_search(rho, dims, distance, budget, rng, opt).best_value
+    return -unitary_maximize(_neg_coherence(distance, opt), rho, budget=budget, rng=rng, dims=dims).best_value
 
 
-def _discord_search(rho, dims, distance, budget, rng, opt) -> OptResult:
-    """The product-unitary search maximizing minus the composite
-    coherence, each batch of trial states minimized as one stack."""
+def _neg_coherence(distance, opt, first=None):
+    """The discord searches' objective: minus the composite coherence of
+    each state, every batch minimized as one stack. A list ``first``
+    receives the minimizations of the first batch."""
     distance = get_distance(distance)
 
     def neg_c(states_):
-        return [-v for v in coherence.c_distances(states_, distance, opt)]
+        res = minimize_diags(np.stack([s.mat for s in states_]), distance, opt)
+        if first is not None and not first:
+            first.extend(res)
+        return [-r.value for r in res]
 
-    return unitary_maximize(neg_c, rho, budget=budget, rng=rng, dims=dims)
+    return neg_c
 
 
 class IMaxCheck(NamedTuple):
@@ -358,14 +391,16 @@ def hierarchy_report(
     rho = _as_state(rho)
     distance = get_distance(distance)
     p = purity.p_distance(rho, distance)
-    cres = coherence.c_distance_result(rho, distance, opt)
-    search = _discord_search(rho, dims, distance, budget, rng, opt)
+    # the search's first batch starts with its identity candidate, and
+    # I rho I = rho bit for bit: its minimization is rho's own
+    first = []
+    search = unitary_maximize(_neg_coherence(distance, opt, first), rho, budget=budget, rng=rng, dims=dims)
     return HierarchyReport(
         distance=distance.name,
         purity=p,
-        coherence_n=cres.value,
+        coherence_n=first[0].value,
         discord_upper=-search.best_value,
-        witness_q=cres.q,
+        witness_q=first[0].q,
         witness_product_unitary=search.best_unitary,
     )
 
@@ -399,7 +434,10 @@ def max_hierarchy_check(
 ) -> MaxHierarchyReport:
     """C_max is read off the MCMS of rho's spectrum, which attains it for
     every distance; only the maximal discord is searched, over ``budget``
-    global unitaries each scored by an ``inner_budget`` product search."""
+    global unitaries each scored by an ``inner_budget`` product search.
+    The product searches of one batch of global candidates climb in
+    lockstep, so each inner pass scores the trial states of all of them
+    as one stack."""
     rho = _as_state(rho)
     distance = get_distance(distance)
     rng = rng if rng is not None else linalg.stream(0)
@@ -407,10 +445,14 @@ def max_hierarchy_check(
     c_max = purity.p_coherence_based(rho, lambda s: coherence.c_distance(s, distance, opt))
 
     inner_seed = int(rng.integers(0, 2**63 - 1))
+    neg_c = _neg_coherence(distance, opt)
 
     def discord_at(states_):
-        # fresh deterministic stream per state keeps the objective pure
-        return [discord_upper(s, dims, distance, inner_budget, linalg.stream(inner_seed), opt) for s in states_]
+        # the discord_upper of every state: its inner product searches
+        # climb in lockstep, each on a fresh deterministic stream, which
+        # keeps the objective pure
+        streams = [linalg.stream(inner_seed) for _ in states_]
+        return [-r.best_value for r in _maximize_all(neg_c, states_, inner_budget, streams, dims)]
 
     res_d = unitary_maximize(discord_at, rho, budget=budget, rng=rng)
     return MaxHierarchyReport(

@@ -3,6 +3,7 @@ explicit (re, im) entry pairs, safe for bit-identical round trips."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -20,6 +21,9 @@ def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe
     a partially written file."""
     path = os.fspath(path)
+    if os.path.isdir(path):
+        # os.replace would fail too, but naming the temp file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cohpure-", suffix=".tmp")
     try:

@@ -416,38 +416,45 @@ def _eg_stage(evaluate, Q, s, max_iter, rel_tol):
     row ran and whether it stopped before ``max_iter``. Each row keeps the
     value and gradient of its accepted point, so an iteration makes one
     ``evaluate`` call, at the trial points of the rows still running.
-    Rows never interact, and a row ends as it would in a batch of its own."""
-    R = Q.shape[0]
-    V, G = evaluate(Q, s)
+    Those rows' points, values, gradients, steps and counters are kept
+    compact, and a row is written back once, when it stops. Rows never
+    interact, and a row ends as it would in a batch of its own."""
+    R, d = Q.shape
+    V = np.empty(R)
+    iters = np.zeros(R, dtype=int)
+    done = np.zeros(R, dtype=bool)
+    # the running rows: their indices into the batch, then their state
+    rows, q, sl = np.arange(R), Q, s
+    v, g = evaluate(Q, s)
     eta = np.full(R, _STEP0)
     stall = np.zeros(R, dtype=int)
     fails = np.zeros(R, dtype=int)
-    done = np.zeros(R, dtype=bool)
-    iters = np.zeros(R, dtype=int)
     it = 0
-    while it < max_iter and not done.all():
+    while it < max_iter and rows.size:
         it += 1
-        live = np.flatnonzero(~done)
-        Ql, Vl, Gl, el, sl = Q[live], V[live], G[live], eta[live], s[live]
-        Gl = np.where(np.isfinite(Gl), Gl, 0.0)
-        expo = -el[:, None] * (Gl - Gl.mean(axis=1, keepdims=True))
-        Qn = Ql * np.exp(np.clip(expo, -_EXP_CLIP, _EXP_CLIP))
-        Qn = np.clip(Qn, 1e-300, None)
-        Qn /= Qn.sum(axis=1, keepdims=True)
-        Vn, Gn = evaluate(Qn, sl)
-        iters[live] = it
-        better = Vn < Vl
+        gf = np.where(np.isfinite(g), g, 0.0)
+        # sum / d and maximum/minimum: cheaper than mean and clip, same bits
+        expo = -eta[:, None] * (gf - gf.sum(axis=1, keepdims=True) / d)
+        qn = np.maximum(q * np.exp(np.minimum(np.maximum(expo, -_EXP_CLIP), _EXP_CLIP)), 1e-300)
+        qn /= qn.sum(axis=1, keepdims=True)
+        vn, gn = evaluate(qn, sl)
+        better = vn < v
         # rows whose objective is infinite throughout (inf - inf) are never better
         with np.errstate(invalid="ignore"):
-            meaningful = (Vl - Vn) > rel_tol * np.maximum(1.0, np.abs(Vl))
-        Q[live[better]] = Qn[better]
-        V[live[better]] = Vn[better]
-        G[live[better]] = Gn[better]
-        st = stall[live]
-        stall[live] = np.where(better, np.where(meaningful, 0, st + 1), st)
-        fails[live] = np.where(better, 0, fails[live] + 1)
-        eta[live] = np.where(better, np.minimum(el * 1.25, 8.0 * _STEP0), el / 2.0)
-        done[live] = (eta[live] < _MIN_STEP) | (stall[live] >= 3) | (fails[live] >= 14)
+            meaningful = (v - vn) > rel_tol * np.maximum(1.0, np.abs(v))
+        q = np.where(better[:, None], qn, q)
+        v = np.where(better, vn, v)
+        g = np.where(better[:, None], gn, g)
+        stall = np.where(better, np.where(meaningful, 0, stall + 1), stall)
+        fails = np.where(better, 0, fails + 1)
+        eta = np.where(better, np.minimum(eta * 1.25, 8.0 * _STEP0), eta / 2.0)
+        stop = (eta < _MIN_STEP) | (stall >= 3) | (fails >= 14)
+        if stop.any():
+            out = rows[stop]
+            Q[out], V[out], iters[out], done[out] = q[stop], v[stop], it, True
+            keep = ~stop
+            rows, q, v, g, sl, eta, stall, fails = (a[keep] for a in (rows, q, v, g, sl, eta, stall, fails))
+    Q[rows], V[rows], iters[rows] = q, v, it
     return Q, V, iters, done
 
 

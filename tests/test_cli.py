@@ -17,7 +17,7 @@ import pytest
 
 from cohpure import cli as climod
 from cohpure import io
-from cohpure.simplex import SimplexResult
+from cohpure.simplex import MENU, SimplexResult
 from cohpure.states import diagonal, maximally_mixed, pure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,6 +131,17 @@ class TestQuantify:
         b = run_cli("quantify", "--state", str(state_files / "binary.json"))
         assert a.stdout == b.stdout
 
+    def test_parser_reuse_keeps_no_state(self, state_files, capsys):
+        # the parser is built once per process: a --distance given to one
+        # call must not carry over to the next
+        path = str(state_files / "binary.json")
+        assert climod.main(["quantify", "--state", path, "--distance", "trace_norm"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["coherence"]["c_distance"]) == ["trace_norm"]
+        assert climod.main(["quantify", "--state", path]) == 0
+        second = capsys.readouterr().out
+        assert list(json.loads(second)["coherence"]["c_distance"]) == list(MENU)
+        assert second == run_cli("quantify", "--state", path).stdout
+
     def test_optimizer_flag_exit_code(self, monkeypatch, state_files, capsys):
         flagged = SimplexResult(0.1, np.array([0.5, 0.5]), False, 10, 10)
         monkeypatch.setattr(climod, "c_distance_result", lambda *a, **k: flagged)
@@ -214,6 +225,8 @@ class TestMalformedInput:
     def test_out_names_a_directory(self, argv, tmp_path, capsys):
         err = self._exit_and_error(argv + ["--out", str(tmp_path)], capsys)
         assert str(tmp_path) in err
+        # the error names the directory, not a temp file written beside it
+        assert ".cohpure-" not in err
 
     def test_negative_trials(self, capsys):
         err = self._exit_and_error(["verify", "--suite", "majorization", "--trials", "-3"], capsys)

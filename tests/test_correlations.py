@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cohpure import correlations
-from cohpure.coherence import c_distances, c_l1, c_rel_entropy, optimal_unitary
+from cohpure.coherence import c_distance_result, c_distances, c_l1, c_rel_entropy, optimal_unitary
 from cohpure.correlations import (
     Budget,
     c_N,
@@ -179,11 +179,51 @@ def test_search_golden(name, monkeypatch):
     # the batched objectives must reproduce the one-state-at-a-time bits
     results = _recorded_searches(monkeypatch)
     _search_cases()[name]()
+    # a one-state search runs through unitary_maximize, so each case
+    # records exactly one OptResult
     (res,) = results
     expected = SEARCH_GOLDEN[name]
     unitary = np.array([[complex(re, im) for re, im in row] for row in expected["best_unitary"]])
     assert res.best_value == expected["best_value"] and res.evals == expected["evals"]
     assert np.array_equal(res.best_unitary, unitary)
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("distance", ["rel_entropy", "trace_norm"])
+    def test_matches_one_discord_upper_per_state(self, distance, monkeypatch):
+        # every state gets the OptResult of its own discord_upper search;
+        # no trial raises the maximally mixed state, so its climb halves
+        # every pass and ends passes before the others
+        rng = stream(40)
+        states_ = [random_density(4, rank, rng) for rank in (1, 2, 4)] + [maximally_mixed(4)]
+        budget = Budget(2, 22)
+        want = _recorded_searches(monkeypatch)
+        for rho in states_:
+            discord_upper(rho, (2, 2), distance, budget, stream(41), ULTRA_OPT)
+        assert len({res.evals for res in want}) > 1
+        assert any(res.improved_by_refinement > 0 for res in want)
+        got = correlations._maximize_all(
+            correlations._neg_coherence(distance, ULTRA_OPT), states_, budget, [stream(41) for _ in states_], (2, 2)
+        )
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.best_value, b.best_value) and np.array_equal(a.evals, b.evals)
+            assert np.array_equal(a.best_unitary, b.best_unitary)
+
+    def test_max_hierarchy_matches_one_search_per_candidate(self):
+        # the outer search over a discord_upper call per global candidate,
+        # each on a fresh stream of the drawn inner seed; inner climbs
+        # that refine stop improving at different passes
+        rho = random_density(4, 3, stream(42))
+        rep = max_hierarchy_check(rho, (2, 2), "trace_norm", Budget(1, 1), stream(43), Budget(2, 2), ULTRA_OPT)
+        rng = stream(43)
+        inner_seed = int(rng.integers(0, 2**63 - 1))
+        want = unitary_maximize(
+            each(lambda s: discord_upper(s, (2, 2), "trace_norm", Budget(2, 2), stream(inner_seed), ULTRA_OPT)),
+            rho,
+            Budget(1, 1),
+            rng,
+        )
+        assert rep.d_max_lower == want.best_value
 
 
 class TestNegativity:
@@ -353,6 +393,18 @@ class TestHierarchy:
             rho = random_density(4, int(rng.integers(1, 5)), rng)
             rep = hierarchy_report(rho, (2, 2), name, Budget(2, 1), rng, opt=ULTRA_OPT)
             assert rep.chain_ok
+
+    @pytest.mark.parametrize("name", MENU)
+    def test_coherence_is_that_of_rho(self, name):
+        # C_N and its witness come from the discord search's identity
+        # candidate, I rho I = rho: bit for bit rho's own minimization
+        rng = stream(44)
+        for rank in (1, 2, 4):
+            rho = random_density(4, rank, rng)
+            for opt in (None, SimplexOptConfig(restarts=2, max_iter=600, polish=False, seed=7)):
+                rep = hierarchy_report(rho, (2, 2), name, Budget(1, 0), stream(45), opt)
+                res = c_distance_result(rho, name, opt)
+                assert rep.coherence_n == res.value and np.array_equal(rep.witness_q, res.q)
 
     def test_witnesses_recorded(self):
         rep = hierarchy_report(BELL, (2, 2), "rel_entropy", Budget(2, 1), stream(26))

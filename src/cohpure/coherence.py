@@ -229,11 +229,12 @@ def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def c_max_closed(rho, distance) -> float:
-    """Maximal coherence over the unitary orbit: the distance to the
-    maximally mixed state, evaluated directly."""
-    rho = _as_state(rho)
-    eye = np.eye(rho.dim, dtype=complex) / rho.dim
-    return get_distance(distance).between(rho.mat, eye)
+    """Maximal coherence over the unitary orbit. By the paper's identity
+    it equals the distance D(rho, 1/d) to the maximally mixed state,
+    which a contractive distance's unitary invariance makes a function
+    of rho's spectrum: it is read off the cached spectrum by the
+    distance's ``to_mixed``, with no further decomposition of rho."""
+    return get_distance(distance).to_mixed(_as_state(rho).spectrum.values)
 
 
 def random_free_channel(kind: str, d: int, rng: np.random.Generator) -> Channel:

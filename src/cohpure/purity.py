@@ -60,16 +60,18 @@ def p_2(rho: DensityMatrix) -> float:
 
 
 def p_geometric(rho: DensityMatrix) -> float:
-    """1 - F(rho, 1/d) = 1 - (Tr sqrt(rho))^2 / d, in [0, 1 - 1/d]."""
-    rho = _as_state(rho)
-    tr_sqrt = float(np.sum(np.sqrt(rho.spectrum.values)))
-    return min(max(1.0 - tr_sqrt**2 / rho.dim, 0.0), 1.0 - 1.0 / rho.dim)
+    """1 - F(rho, 1/d) = 1 - (Tr sqrt(rho))^2 / d, in [0, 1 - 1/d]: the
+    fidelity's distance-based purity."""
+    return p_distance(rho, "one_minus_fidelity")
 
 
 def p_distance(rho: DensityMatrix, distance) -> float:
     """Distance-based purity D(rho, 1/d); no minimization is needed since
-    the maximally mixed state is the unique free state."""
-    return coherence.c_max_closed(_as_state(rho), distance)
+    the maximally mixed state is the unique free state. It equals the
+    maximal coherence over the unitary orbit (the paper's identity), and
+    is read off rho's cached spectrum by the distance's closed form
+    rather than evaluated on the matrix."""
+    return coherence.c_max_closed(rho, distance)
 
 
 def p_coherence_based(rho: DensityMatrix, quantifier) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import LN2, DomainError, as_matrix
+from .states import _renyi_bits
 
 __all__ = [
     "Distance",
@@ -68,6 +69,15 @@ class Distance:
     def between(self, rho, sigma) -> float:
         raise NotImplementedError
 
+    def to_mixed(self, values) -> float:
+        """D(rho, 1/d) from rho's spectrum ``values`` (descending and
+        dust-dropped, as :class:`~cohpure.states.Spectrum` holds it). A
+        contractive distance is unitarily invariant, so this is the
+        distance from diag(values) to 1/d; the menu distances and the
+        Renyi divergences override it with closed forms."""
+        p = np.asarray(values, dtype=float)
+        return self.between(np.diag(p).astype(complex), np.eye(p.size, dtype=complex) / p.size)
+
     def closed_form_minimizer(self, rho):
         """Return (value, q): the exact minimum over diagonal states and a
         minimizer, where a formula is known for rho; else None, and
@@ -102,6 +112,9 @@ class RelEntropyDistance(Distance):
 
     def between(self, rho, sigma):
         return linalg.rel_entropy(rho, sigma)
+
+    def to_mixed(self, values):
+        return _renyi_to_mixed(values, 1.0)
 
     def closed_form_minimizer(self, rho):
         q = _dephased(rho)
@@ -142,6 +155,10 @@ class SchattenDistance(Distance):
     def between(self, rho, sigma):
         return linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), self.p)
 
+    def to_mixed(self, values):
+        p = np.asarray(values, dtype=float)
+        return float(_p_norm(np.abs(p - 1.0 / p.size), self.p))
+
     def closed_form_minimizer(self, rho):
         """Schatten-2 on every state; the trace norm on block-sparse states
         (every qubit, X and diagonal states), where each 2x2 block of rho -
@@ -172,15 +189,21 @@ class SchattenDistance(Distance):
             if p == 1.0:
                 V = np.sum(a, axis=1)
             else:
-                # scaled by the largest modulus, so that a^p cannot underflow
-                top = np.maximum(a.max(axis=1), 1e-300)[:, None]
-                V = top[:, 0] * np.sum((a / top) ** p, axis=1) ** (1.0 / p)
+                V = _p_norm(a, p)
                 # d||A||_p/da_k = (a_k / ||A||_p)^(p-1)
                 g_eig = g_eig * (a / np.maximum(V, 1e-300)[:, None]) ** (p - 1.0)
             # d||A||_p / dq_i = -[V g(Lam) V^dag]_ii
             return V, -np.einsum("rik,rk->ri", np.abs(vec) ** 2, g_eig)
 
         return evaluate
+
+
+def _p_norm(a, p: float):
+    """(sum_k a_k^p)^(1/p) over the last axis of the moduli a, scaled by
+    the largest modulus so that a^p cannot underflow: at a huge order it
+    is the largest modulus."""
+    top = np.maximum(a.max(axis=-1), 1e-300)
+    return top * np.sum((a / top[..., None]) ** p, axis=-1) ** (1.0 / p)
 
 
 class OneMinusFidelityDistance(Distance):
@@ -190,6 +213,12 @@ class OneMinusFidelityDistance(Distance):
 
     def between(self, rho, sigma):
         return 1.0 - linalg.fidelity(rho, sigma)
+
+    def to_mixed(self, values):
+        """1 - F(rho, 1/d) = 1 - (sum_i sqrt(p_i))^2 / d, in [0, 1 - 1/d]."""
+        p = np.asarray(values, dtype=float)
+        tr_sqrt = float(np.sum(np.sqrt(p)))
+        return min(max(1.0 - tr_sqrt**2 / p.size, 0.0), 1.0 - 1.0 / p.size)
 
     def closed_form_minimizer(self, rho):
         """Block-sparse states (every qubit, X and diagonal states): the root
@@ -246,13 +275,26 @@ class PetzAlphaDivergence(Distance):
     def between(self, rho, sigma):
         return linalg.renyi_divergence(rho, sigma, self.alpha)
 
+    def to_mixed(self, values):
+        return _renyi_to_mixed(values, self.alpha)
+
     def closed_form_minimizer(self, rho):
         a = self.alpha
         # Hoelder: sum_i c_i q_i^(1-a) <= (sum_i c_i^(1/a))^a with c the
-        # diagonal of rho^a, attained at q_i proportional to c_i^(1/a)
-        w = _diag_power(rho, a) ** (1.0 / a)
+        # diagonal of rho^a, attained at q_i proportional to c_i^(1/a).
+        # c_i^(1/a) underflows at small orders, so the sum is taken in the
+        # log domain, scaled by the largest coefficient: with l = log2 c,
+        # the value a/(a-1) log2 sum_i 2^(l_i/a) is
+        # (max l + a log2 sum_i 2^((l_i - max l)/a)) / (a - 1)
+        c = _diag_power(rho, a)
+        with np.errstate(divide="ignore"):
+            lc = np.log2(c)
+        top = float(lc.max())
+        w = np.exp2((lc - top) / a)
         total = float(w.sum())
-        return a / (a - 1.0) * math.log2(total), w / total
+        num = top + a * math.log2(total)
+        # num is 0 when one coefficient is 1 and the rest vanish: report 0, not -0
+        return (num / (a - 1.0) if num else 0.0), w / total
 
     def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
@@ -266,6 +308,14 @@ class PetzAlphaDivergence(Distance):
             return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
 
         return evaluate
+
+
+def _renyi_to_mixed(values, a: float) -> float:
+    """D_a(rho, 1/d) = log2(d) - S_a(p) from rho's spectrum p, for the
+    relative entropy (a = 1) and every Petz and sandwiched order: 1/d
+    commutes with rho. Clipped at 0 against round-off, as p_alpha is."""
+    p = np.asarray(values, dtype=float)
+    return max(math.log2(p.size) - _renyi_bits(p, a), 0.0)
 
 
 def _renyi_value(t, a: float) -> np.ndarray:
@@ -294,6 +344,9 @@ class SandwichedAlphaDivergence(Distance):
 
     def between(self, rho, sigma):
         return linalg.sandwiched_renyi(rho, sigma, self.alpha)
+
+    def to_mixed(self, values):
+        return _renyi_to_mixed(values, self.alpha)
 
     def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha

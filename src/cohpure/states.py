@@ -189,14 +189,20 @@ def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
     rho = _as_state(rho)
     if not (alpha >= 0.0):
         raise DomainError(f"Renyi order must be >= 0, got {alpha}")
-    spec = rho.spectrum
+    return _renyi_bits(rho.spectrum.values, alpha)
+
+
+def _renyi_bits(values: np.ndarray, alpha: float) -> float:
+    """Renyi entropy in bits of a dust-dropped spectrum (as
+    :class:`Spectrum` holds it), for an order alpha >= 0; order 0 counts
+    the numeric rank."""
     if alpha == 0.0:
-        return math.log2(spec.rank)
+        return math.log2(int(np.count_nonzero(values > RANK_TOL_REL * float(values.max()))))
     if alpha == 1.0:
-        return entropy_bits(spec.values)
+        return entropy_bits(values)
     if alpha == math.inf:
-        return -math.log2(spec.max)
-    nz = spec.values[spec.values > 0]
+        return -math.log2(float(values.max()))
+    nz = values[values > 0]
     return math.log2(float(np.sum(nz**alpha))) / (1.0 - alpha)
 
 

@@ -118,6 +118,15 @@ class TestQuantify:
         assert abs(doc["coherence"]["c_l1"] - 1.0) <= 1e-9
         assert abs(doc["purity"]["p_alpha"]["1"] - 1.0) <= 1e-9
 
+    def test_small_petz_order_on_pure_qutrit(self, tmp_path):
+        # c_i^(1/alpha) underflows to 0 at alpha = 0.001 on this state
+        path = tmp_path / "plus3.json"
+        io.write_state(path, pure(np.ones(3)))
+        proc = run_cli("quantify", "--state", str(path), "--alpha", "0.001")
+        assert proc.returncode == 0, proc.stderr
+        value = json.loads(proc.stdout)["coherence"]["c_alpha"]["0.001"]["value"]
+        assert abs(value - math.log2(3)) <= 1e-9
+
     def test_csv_format(self, state_files):
         proc = run_cli("quantify", "--state", str(state_files / "binary.json"), "--format", "csv")
         assert proc.returncode == 0

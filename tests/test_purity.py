@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohpure import linalg
 from cohpure.coherence import apply_channel, c_alpha, c_l1, c_rel_entropy
-from cohpure.linalg import DomainError, stream
+from cohpure.linalg import DomainError, haar_unitary, stream
 from cohpure.purity import (
     ALPHA_GRID,
     axiom_suite,
@@ -19,6 +21,7 @@ from cohpure.purity import (
     purity_report,
     random_unital,
 )
+from cohpure.simplex import MENU, Distance, PetzAlphaDivergence, SandwichedAlphaDivergence, get_distance
 from cohpure.states import diagonal, from_bloch, maximally_mixed, pure, random_density, validate
 from cohpure.verify import FAST_OPT
 
@@ -113,6 +116,66 @@ class TestPDistance:
         rho = random_density(3, 3, stream(14))
         top = float(np.abs(np.linalg.eigvalsh(rho.mat - np.eye(3) / 3)).max())
         assert abs(p_distance(rho, "schatten_1e308") - top) <= 1e-12
+
+
+@st.composite
+def spectral_states(draw):
+    """States at d = 1..6 of every rank, with a Haar or an incoherent
+    eigenbasis: pure states, maximally mixed states, and spectra whose
+    weights tie often (degenerate) or are all equal."""
+    d = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, d))
+    weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0))
+    weights = np.array(draw(st.lists(weight, min_size=rank, max_size=rank)))
+    if draw(st.booleans()):
+        weights = np.full(rank, weights[0])  # at rank d, the maximally mixed state
+    spec = np.zeros(d)
+    spec[:rank] = weights / weights.sum()
+    u = haar_unitary(d, stream(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        u = np.eye(d)
+    return validate((u * spec) @ u.conj().T)
+
+
+class _SchattenThreeByMatrix(Distance):
+    """A distance that only knows its matrix form, as a user-supplied one
+    may: ``to_mixed`` falls back to the base class."""
+
+    name = "schatten_3_by_matrix"
+
+    def between(self, rho, sigma):
+        return linalg.schatten_norm(linalg.as_matrix(rho) - linalg.as_matrix(sigma), 3.0)
+
+
+# every menu distance, Schatten-3 and the huge order, Petz 0.5 and
+# sandwiched 2 and 3, and a distance without a closed form
+TO_MIXED = [
+    *(get_distance(name) for name in (*MENU, "schatten_3", "schatten_1e308")),
+    PetzAlphaDivergence(0.5),
+    SandwichedAlphaDivergence(2.0),
+    SandwichedAlphaDivergence(3.0),
+    _SchattenThreeByMatrix(),
+]
+
+
+@pytest.mark.parametrize("dist", TO_MIXED, ids=lambda dist: dist.name)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rho=spectral_states())
+def test_to_mixed_is_the_distance_to_the_maximally_mixed_state(dist, rho):
+    mixed = np.eye(rho.dim, dtype=complex) / rho.dim
+    assert abs(dist.to_mixed(rho.spectrum.values) - dist.between(rho.mat, mixed)) <= 1e-9
+    assert p_distance(rho, dist) == dist.to_mixed(rho.spectrum.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rho=spectral_states())
+def test_purities_share_one_formula(rho):
+    # bit for bit: one implementation per quantity
+    assert p_geometric(rho) == p_distance(rho, "one_minus_fidelity")
+    assert p_alpha(rho, 1.0) == p_rel_entropy(rho) == p_distance(rho, "rel_entropy")
+    assert p_alpha(rho, 0.5) == p_distance(rho, PetzAlphaDivergence(0.5))
+    for a in (2.0, 3.0):
+        assert p_alpha(rho, a) == p_distance(rho, SandwichedAlphaDivergence(a))
 
 
 class TestPCoherenceBased:

@@ -156,6 +156,36 @@ class TestMinimizeDiag:
         with pytest.raises(DomainError):
             PetzAlphaDivergence(2.0)
 
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-8, 1e-300])
+    def test_petz_small_orders_on_uniform_superposition(self, alpha):
+        # c_i^(1/alpha) underflows to 0 at these orders: the closed form
+        # must sum in the log domain
+        for d in (2, 3, 5):
+            dist = PetzAlphaDivergence(alpha)
+            res = minimize_diag(pure(np.ones(d)).mat, dist)
+            assert abs(res.value - math.log2(d)) <= 1e-9
+            # as alpha -> 0 every q attains the minimum, so q is checked
+            # through the objective
+            assert np.all(res.q >= 0) and abs(res.q.sum() - 1.0) <= 1e-12
+            assert abs(dist.diag_objective(pure(np.ones(d)).mat)(res.q[None, :])[0][0] - res.value) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-3, 1e-20])
+    def test_petz_zero_is_positive_zero(self, alpha):
+        # one coefficient 1 and the rest 0 sum to exactly 1: log2 1 = 0,
+        # which a negative prefactor a/(a-1) would turn into -0.0
+        res = minimize_diag(np.diag([1.0, 0.0, 0.0]).astype(complex), PetzAlphaDivergence(alpha))
+        assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+
+    def test_petz_tiny_order_on_full_rank_qutrits(self):
+        # rho^a is the identity to round-off, so the minimum is 0 to
+        # round-off, while c_i^(1/a) overflows to inf a coefficient a
+        # round-off above 1 and underflows the others to 0
+        rng = stream(47)
+        for _ in range(20):
+            res = minimize_diag(random_density(3, 3, rng).mat, PetzAlphaDivergence(1e-20))
+            assert math.isfinite(res.value) and 0.0 <= res.value <= 1e-12
+            assert math.copysign(1.0, res.value) == 1.0
+
     def test_sandwiched_order_below_one_rejected(self):
         # c_alpha sends orders below 1 to the Petz divergence
         with pytest.raises(DomainError):

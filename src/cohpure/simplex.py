@@ -5,14 +5,18 @@ The engine, :func:`minimize_diags`, works on a stack of states. Where
 the minimum has a closed form (the relative entropy, Schatten-2,
 Petz--Renyi orders in (0,1), and the trace norm and fidelity on
 block-sparse states: every qubit, X and diagonal states), the distance's
-``closed_form_minimizer`` gives it exactly. The other states run one
-exponentiated-gradient mirror descent together, with multiple starts each
-(Dirichlet draws plus the dephased state and the uniform point), per-row
-step halving on non-improvement, and monotone acceptance: the returned
-value never exceeds the objective at any start, which downstream code
-relies on for certified upper bounds. Rows never interact, so each state's
-result is bit for bit that of a run on its own. Mirror descent also serves
-the tests as the oracle for the closed forms, and a dense grid search over
+``closed_form_minimizer`` gives it exactly. The trace norm's other states
+run one log-barrier Newton homotopy together (:func:`_trace_norm_newton`):
+the objective is convex, so a single start suffices. The states of every
+other distance run one exponentiated-gradient mirror descent together,
+with multiple starts each (Dirichlet draws plus the dephased state and the
+uniform point), per-row step halving on non-improvement, and monotone
+acceptance. Either way the returned value never exceeds the objective at
+the uniform or the dephased point, which downstream code relies on for
+certified upper bounds. Rows never interact, so each state's result is bit
+for bit that of a run on its own. Mirror descent, with the trace norm's
+smoothing schedule and SLSQP polish, also serves the tests as the oracle
+for the closed forms and the Newton solver, and a dense grid search over
 the simplex as the independent verification oracle at small dimension.
 """
 
@@ -50,6 +54,15 @@ _FLOOR = 1e-12
 _REL_TOL = 1e-10
 _STEP0 = 1.0
 _MIN_STEP = 1e-12
+# barrier weights of the trace norm's Newton homotopy, largest first; the
+# smoothing and the barrier each bias the value by at most d * mu
+_BARRIER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+# a stage ends once the squared Newton decrement falls below _DECREMENT * mu,
+# or below _ROUNDOFF * |f_mu|, where no line search can resolve a decrease
+_DECREMENT = 1e-3
+_ROUNDOFF = 16 * np.finfo(float).eps
+_BOUNDARY = 0.99
+_ARMIJO = 0.25
 
 
 class Distance:
@@ -81,7 +94,7 @@ class Distance:
     def closed_form_minimizer(self, rho):
         """Return (value, q): the exact minimum over diagonal states and a
         minimizer, where a formula is known for rho; else None, and
-        :func:`minimize_diags` runs mirror descent."""
+        :func:`minimize_diags` runs its optimizer."""
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
@@ -147,8 +160,10 @@ class SchattenDistance(Distance):
         self.p = float(p)
         self.name = "trace_norm" if p == 1.0 else f"schatten_{p:g}"
         if p == 1.0:
-            # |lam| is non-smooth at eigenvalue sign changes; anneal
-            # sqrt(lam^2 + mu^2) down to the true objective
+            # |lam| is non-smooth at eigenvalue sign changes; mirror
+            # descent anneals sqrt(lam^2 + mu^2) down to the true objective.
+            # It runs the trace norm only as the tests' oracle:
+            # minimize_diags sends it to _trace_norm_newton
             self.smoothing = (1e-2, 1e-4, 1e-6, 1e-8, 0.0)
             self.needs_polish = True
 
@@ -350,7 +365,8 @@ class SandwichedAlphaDivergence(Distance):
 
     def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
-        beta = (1.0 - a) / (2.0 * a)
+        # (1 - a) / (2a) without forming 2a, which overflows at a = 1e308
+        beta = (1.0 - a) / a / 2.0
         m = _stack(mats)
         # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a quadratic
         # form, no eigendecomposition
@@ -358,7 +374,6 @@ class SandwichedAlphaDivergence(Distance):
 
         def evaluate(Q, s=None):
             s = _rows(Q, s)
-            # extreme orders overflow lam^a to inf, which the value reports
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 if A is not None:
                     w = 1.0 / np.sqrt(Q)
@@ -366,16 +381,20 @@ class SandwichedAlphaDivergence(Distance):
                     t = np.einsum("ri,ri->r", w, Aw)
                     # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
                     G = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
-                else:
-                    w = Q**beta
-                    M = m[s] * (w[:, :, None] * w[:, None, :])
-                    lam, vec = np.linalg.eigh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0)
-                    la = np.clip(lam, 0.0, None) ** a
-                    t = np.sum(la, axis=1)
-                    # diag of M^alpha, then dT/dq_i = 2 a beta (M^alpha)_ii / q_i
-                    diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
-                    G = 2.0 * a * beta * diag_ma / Q / ((a - 1.0) * LN2 * np.maximum(t, 1e-300))[:, None]
-            return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
+                    return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
+                w = Q**beta
+                M = m[s] * (w[:, :, None] * w[:, None, :])
+                lam, vec = np.linalg.eigh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0)
+                # scaled by the largest eigenvalue, lam^a cannot overflow at
+                # a huge order: Tr M^a = top^a sum_k (lam_k / top)^a
+                top = np.maximum(lam[:, -1], 0.0)
+                la = (np.clip(lam, 0.0, None) / top[:, None]) ** a
+                t = np.sum(la, axis=1)
+                V = np.where(top > 0, a / (a - 1.0) * np.log2(top) + np.log2(t) / (a - 1.0), np.inf)
+                # dT/dq_i / T = 2 a beta (M^a)_ii / (q_i T), a ratio free of the scale
+                diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
+                G = 2.0 * a * beta * diag_ma / Q / ((a - 1.0) * LN2 * t)[:, None]
+            return V, np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
 
         return evaluate
 
@@ -406,10 +425,13 @@ def get_distance(spec) -> Distance:
 
 @dataclass(frozen=True)
 class SimplexOptConfig:
-    """Mirror-descent settings. ``restarts`` counts the Dirichlet starts
-    added on top of the always-included dephased and uniform points;
-    ``polish`` enables the exact line-search finish for non-smooth
-    distances (the trace norm), whose kink minima stall gradient steps."""
+    """Optimizer settings. ``restarts`` counts the Dirichlet starts that
+    mirror descent adds on top of the always-included dephased and uniform
+    points; ``polish`` enables the SLSQP finish for distances that need it
+    (the fidelity, whose pure-state optima sit on simplex vertices). The
+    trace norm's Newton solver is convex and starts once, so it reads only
+    ``max_iter``, as its cap on steps per state, and ignores
+    ``restarts``, ``seed`` and ``polish``, as the closed forms do."""
 
     restarts: int = 20
     max_iter: int = 5000
@@ -522,10 +544,11 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     every state of a (N, d, d) stack; one SimplexResult per state.
 
     Each state takes the distance's closed form where one applies; the
-    others run :func:`_mirror_descent` as one batch, in which every state
-    gets the value, q, iterations, evaluations and convergence flag of a
-    run on its own. A non-finite value is never reported as converged,
-    and a value in [-1e-12, 0) is reported as 0.
+    others run as one batch, through :func:`_trace_norm_newton` for the
+    trace norm and :func:`_mirror_descent` for every other distance, in
+    which every state gets the value, q, iterations, evaluations and
+    convergence flag of a run on its own. A non-finite value is never
+    reported as converged, and a value in [-1e-12, 0) is reported as 0.
     """
     distance = get_distance(distance)
     mats = _stack(mats)
@@ -535,7 +558,12 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
         results.append(None if closed is None else SimplexResult(closed[0], closed[1], True, 0, 1))
     rest = [n for n, res in enumerate(results) if res is None]
     if rest:
-        for n, res in zip(rest, _mirror_descent(mats[rest], distance, cfg or SimplexOptConfig())):
+        cfg = cfg or SimplexOptConfig()
+        if isinstance(distance, SchattenDistance) and distance.p == 1.0:
+            solved = _trace_norm_newton(mats[rest], cfg.max_iter)
+        else:
+            solved = _mirror_descent(mats[rest], distance, cfg)
+        for n, res in zip(rest, solved):
             results[n] = res
     return [_reported(res) for res in results]
 
@@ -550,10 +578,132 @@ def _reported(res: SimplexResult) -> SimplexResult:
     return res
 
 
+def _barrier_value(lam, Q, mu):
+    """f_mu(q) = sum_k sqrt(lam_k^2 + mu^2) - mu sum_i log q_i rowwise, from
+    the eigenvalues lam of rho - diag q; mu holds one weight per row."""
+    return np.sum(np.sqrt(lam**2 + mu[:, None] ** 2), axis=1) - mu * np.sum(np.log(Q), axis=1)
+
+
+def _barrier_derivatives(lam, vec, Q, mu):
+    """Gradient, Hessian and the gradient's derivative in mu of f_mu at rows
+    Q, from lam, vec = eigh(rho - diag q). With s = sqrt(lam^2 + mu^2) and
+    h = lam / s, the gradient is g_i = -sum_k |V_ik|^2 h_k - mu / q_i, and
+    the Hessian is the Daleckii--Krein form H_ij = Re sum_kl G_kl conj(V_ik)
+    V_il V_jk conj(V_jl) + delta_ij mu / q_i^2, where G holds the divided
+    differences of h (and h' = mu^2 / s^3 on coincident eigenvalues)."""
+    m = mu[:, None]
+    s = np.sqrt(lam**2 + m**2)
+    h = lam / s
+    w = np.abs(vec) ** 2
+    g = -np.einsum("rik,rk->ri", w, h) - m / Q
+    g_mu = np.einsum("rik,rk->ri", w, h * m / s**2) - 1.0 / Q
+    a, b, sa, sb = lam[:, :, None], lam[:, None, :], s[:, :, None], s[:, None, :]
+    m2 = m[:, :, None] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # h(a) - h(b) = mu^2 (a^2 - b^2) / (s_a s_b (a s_b + b s_a)) does
+        # not cancel on same-sign pairs, nor a - b on opposite-sign pairs
+        same = m2 * (a + b) / (sa * sb * (a * sb + b * sa))
+        split = (h[:, :, None] - h[:, None, :]) / (a - b)
+    gam = np.where(a * b > 0, same, np.where(a != b, split, m2 / sa**3))
+    P = np.conj(vec)[:, :, :, None] * vec[:, :, None, :]
+    H = np.einsum("rikl,rjkl->rij", P * gam[:, None], np.conj(P)).real
+    idx = np.arange(Q.shape[1])
+    H[:, idx, idx] += m / Q**2
+    return g, H, g_mu
+
+
+def _newton_step(g, H):
+    """The Newton step on the simplex, from the KKT system [[H, 1], [1^T, 0]],
+    and its squared decrement -g . step, rowwise."""
+    R, d = g.shape
+    K = np.ones((R, d + 1, d + 1))
+    K[:, :d, :d] = H
+    K[:, d, d] = 0.0
+    rhs = np.zeros((R, d + 1, 1))
+    rhs[:, :d, 0] = -g
+    step = np.linalg.solve(K, rhs)[:, :d, 0]
+    return step, -np.einsum("ri,ri->r", g, step)
+
+
+def _trace_norm_newton(mats, max_iter: int) -> list:
+    """min_q ||rho - diag q||_1 over a stack of states by a log-barrier
+    Newton homotopy: for each weight mu of ``_BARRIER`` in turn, damped
+    Newton steps on f_mu, the first from (dephased + uniform) / 2. A stage
+    ends when the squared Newton decrement falls below ``_DECREMENT * mu``,
+    or below what the round-off of f_mu can resolve; the next stage starts
+    from the point a tangent step along the central path predicts for its
+    weight. Each state takes at most ``max_iter`` steps, and stops
+    unconverged when a line search finds no decrease. The objective is
+    convex, so one start suffices. The value is the exact trace norm at the
+    best of the Newton point, the uniform point and the dephased point, so
+    it never exceeds D(rho, 1/d) or D(rho, Delta rho). Rows never interact:
+    each state gets the result of a run on its own."""
+    mats = _stack(mats)
+    N, d = mats.shape[0], mats.shape[-1]
+    idx = np.arange(d)
+    mus = np.array(_BARRIER)
+    Q = (_dephased(mats) + 1.0 / d) / 2.0
+    stage = np.zeros(N, dtype=int)
+    iters = np.zeros(N, dtype=int)
+    evals = np.zeros(N, dtype=int)
+    stuck = np.zeros(N, dtype=bool)
+    rows = np.arange(N)
+    while rows.size:
+        q = Q[rows]
+        A = mats[rows]
+        A[:, idx, idx] -= q
+        lam, vec = np.linalg.eigh(A)
+        evals[rows] += 1
+        mu = mus[stage[rows]]
+        f = _barrier_value(lam, q, mu)
+        g, H, g_mu = _barrier_derivatives(lam, vec, q, mu)
+        step, dec2 = _newton_step(g, H)
+        passed = dec2 <= np.maximum(_DECREMENT * mu, _ROUNDOFF * np.abs(f))
+        stage[rows[passed]] += 1
+        go = (stage[rows] < mus.size) & (iters[rows] < max_iter)
+        # the centre q(mu) has H dq/dmu = -dg/dmu on the simplex: a row that
+        # passed steps by (mu' - mu) dq/dmu towards the next weight mu'
+        jump = go & passed
+        step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * _newton_step(g_mu[jump], H[jump])[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.minimum(1.0, _BOUNDARY * np.where(step < 0, -q / step, np.inf).min(axis=1))
+        Q[rows[jump]] = q[jump] + t[jump, None] * step[jump]
+        # Armijo backtracking on the others; each round decomposes the trial
+        # points of the rows still searching
+        slope = _ARMIJO * np.einsum("ri,ri->r", g, step)
+        searching = np.flatnonzero(go & ~passed)
+        while searching.size:
+            trial = q[searching] + t[searching, None] * step[searching]
+            A = mats[rows[searching]]
+            A[:, idx, idx] -= trial
+            ft = _barrier_value(np.linalg.eigvalsh(A), trial, mu[searching])
+            evals[rows[searching]] += 1
+            ok = ft <= f[searching] + t[searching] * slope[searching]
+            Q[rows[searching[ok]]] = trial[ok]
+            searching = searching[~ok]
+            t[searching] /= 2.0
+            stuck[rows[searching[t[searching] < _MIN_STEP]]] = True
+            searching = searching[t[searching] >= _MIN_STEP]
+        iters[rows[go]] += 1
+        rows = rows[go & ~stuck[rows]]
+    Q /= Q.sum(axis=1, keepdims=True)
+    pool = np.stack([Q, np.full((N, d), 1.0 / d), _dephased(mats)], axis=1)
+    A = np.repeat(mats, 3, axis=0)
+    A[:, idx, idx] -= pool.reshape(-1, d)
+    vals = np.sum(np.abs(np.linalg.eigvalsh(A)), axis=1).reshape(N, 3)
+    best = np.argmin(vals, axis=1)
+    converged = stage == mus.size
+    return [
+        SimplexResult(float(v[b]), qs[b].copy(), bool(c), int(it), int(ev) + 3)
+        for v, b, qs, c, it, ev in zip(vals, best, pool, converged, iters, evals)
+    ]
+
+
 def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     """Multi-start mirror descent over a stack of states, the path for
-    distances without a closed form and the tests' oracle for those with
-    one; one SimplexResult per state (one matrix counts as a stack of one).
+    distances without a closed form other than the trace norm, and the
+    tests' oracle for the closed forms and the trace norm's Newton solver;
+    one SimplexResult per state (one matrix counts as a stack of one).
 
     Non-smooth distances run through their annealed smoothing schedule
     with warm starts. The final selection always re-includes each state's

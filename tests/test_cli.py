@@ -17,7 +17,7 @@ import pytest
 
 from cohpure import cli as climod
 from cohpure import io
-from cohpure.simplex import MENU, SimplexResult
+from cohpure.simplex import MENU, SandwichedAlphaDivergence, SimplexResult
 from cohpure.states import diagonal, maximally_mixed, pure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -159,13 +159,25 @@ class TestQuantify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["optimizer_flagged"] is True
 
-    def test_non_finite_value_is_flagged(self, state_files, capsys):
+    def test_huge_sandwiched_order_on_maximally_mixed_qubit(self, state_files, capsys):
+        # M's eigenvalues are a round-off above 1 here, which lam^a used to
+        # overflow to an infinite value
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = climod.main(["quantify", "--state", str(state_files / "mixed2.json"), "--alpha", "1e308"])
+        assert code == 0
+        block = json.loads(capsys.readouterr().out)["coherence"]["c_alpha"]["1e+308"]
+        assert abs(block["value"]) <= 1e-12 and block["converged"] is True
+
+    def test_non_finite_value_is_flagged(self, state_files, capsys, monkeypatch):
+        def infinite(self, mats, mu=0.0):
+            return lambda Q, s=None: (np.full(Q.shape[0], np.inf), np.zeros_like(Q))
+
+        monkeypatch.setattr(SandwichedAlphaDivergence, "diag_objective", infinite)
+        code = climod.main(["quantify", "--state", str(state_files / "binary.json"), "--alpha", "2"])
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
-        block = doc["coherence"]["c_alpha"]["1e+308"]
+        block = doc["coherence"]["c_alpha"]["2"]
         assert not math.isfinite(block["value"]) and block["converged"] is False
         assert doc["optimizer_flagged"] is True
 

@@ -18,11 +18,15 @@ from cohpure.simplex import (
     SandwichedAlphaDivergence,
     SchattenDistance,
     SimplexOptConfig,
+    _barrier_derivatives,
+    _barrier_value,
+    _dephased,
     _eg_stage,
     _grid_eval,
     _grid_points,
     _mirror_descent,
     _starts,
+    _trace_norm_newton,
     get_distance,
     grid_minimize,
     minimize_diag,
@@ -185,6 +189,14 @@ class TestMinimizeDiag:
             res = minimize_diag(random_density(3, 3, rng).mat, PetzAlphaDivergence(1e-20))
             assert math.isfinite(res.value) and 0.0 <= res.value <= 1e-12
             assert math.copysign(1.0, res.value) == 1.0
+
+    @pytest.mark.parametrize("alpha", [3.0, 50.0, 1e3, 1e6, 1e300])
+    def test_sandwiched_huge_orders_on_uniform_superposition(self, alpha):
+        # Tr M^alpha overflows at these orders unless the eigenvalues of M,
+        # which reach d at the uniform point, are scaled by the largest
+        for d in (2, 3, 5):
+            res = minimize_diag(pure(np.ones(d)).mat, SandwichedAlphaDivergence(alpha))
+            assert res.converged and abs(res.value - math.log2(d)) <= 1e-12
 
     def test_sandwiched_order_below_one_rejected(self):
         # c_alpha sends orders below 1 to the Petz divergence
@@ -536,3 +548,85 @@ class TestGridOracle:
     def test_unknown_distance_name(self):
         with pytest.raises(DomainError):
             get_distance("hellinger")
+
+
+@st.composite
+def trace_norm_stacks(draw):
+    """One to three states of one dimension d = 3..8 for the trace norm's
+    Newton solver: every rank, generic and degenerate spectra, states near
+    the maximally mixed state, and near-PSD matrices whose smallest
+    eigenvalues are round-off negatives."""
+    d = draw(st.integers(3, 8))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        rank = draw(st.integers(1, d))
+        kind = draw(st.sampled_from(["generic", "degenerate", "near_mixed", "near_psd"]))
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=rank, max_size=rank)))
+        if kind == "degenerate":
+            weights = np.ones(rank)
+        spec = np.zeros(d)
+        spec[:rank] = weights / weights.sum()
+        if kind == "near_psd" and rank < d:
+            spec[rank:] = -draw(st.floats(1e-16, 1e-12))
+        u = haar_unitary(d, stream(draw(st.integers(0, 2**32 - 1))))
+        m = (u * spec) @ u.conj().T
+        if kind == "near_mixed":
+            eps = draw(st.floats(1e-4, 1e-2))
+            m = (1.0 - eps) * np.eye(d) / d + eps * m
+        mats.append((m + m.conj().T) / 2.0)
+    return np.stack(mats)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mats=trace_norm_stacks())
+def test_trace_norm_newton_properties(mats):
+    dist = SchattenDistance(1.0)
+    max_iter = SimplexOptConfig().max_iter
+    d = mats.shape[-1]
+    for m, res in zip(mats, _trace_norm_newton(mats, max_iter), strict=True):
+        solo = _trace_norm_newton(m[None], max_iter)[0]
+        assert res.value == solo.value and np.array_equal(res.q, solo.q)
+        assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
+        assert res.converged and math.isfinite(res.value)
+        assert np.all(res.q >= 0) and abs(res.q.sum() - 1.0) <= 1e-12
+        assert res.value <= dist.between(m, np.eye(d) / d) + 1e-12
+        assert res.value <= dist.between(m, np.diag(_dephased(m))) + 1e-12
+        assert res.value <= _mirror_descent(m, dist, SimplexOptConfig())[0].value + 1e-10
+
+
+@pytest.mark.parametrize("mu", [1e-2, 1e-6])
+@pytest.mark.parametrize(
+    "spec,haar",
+    [([-0.3, -0.05, 0.2, 0.4], True), ([-0.3, 0.1, 0.1, 0.4], True), ([-0.2, 0.0, 0.0, 0.3, 0.35], True),
+     ([-0.2, 0.0, 0.0, 0.3, 0.35], False)],
+    ids=["generic", "repeated", "repeated_zero", "exact_zero"],
+)
+def test_barrier_derivatives_match_finite_differences(spec, haar, mu):
+    # rho - diag q has the spectrum ``spec`` at the test point q, in a Haar
+    # or the incoherent eigenbasis; there the zeros are exact and take the
+    # coincident branch of the Hessian
+    d = len(spec)
+    rng = stream(62)
+    q = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
+    u = haar_unitary(d, rng) if haar else np.eye(d)
+    rho = np.diag(q) + (u * np.array(spec)) @ u.conj().T
+
+    def derivatives(x, w=mu):
+        lam, vec = np.linalg.eigh(rho - np.diag(x))
+        return [a[0] for a in _barrier_derivatives(lam[None], vec[None], x[None], np.array([w]))]
+
+    def value(x):
+        return _barrier_value(np.linalg.eigvalsh(rho - np.diag(x))[None], x[None], np.array([mu]))[0]
+
+    g, H, g_mu = derivatives(q)
+    h = 1e-3 * mu
+    fd_g, fd_H = np.empty(d), np.empty((d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        fd_g[i] = (value(q + e) - value(q - e)) / (2 * h)
+        fd_H[:, i] = (derivatives(q + e)[0] - derivatives(q - e)[0]) / (2 * h)
+    fd_g_mu = (derivatives(q, mu + h)[0] - derivatives(q, mu - h)[0]) / (2 * h)
+    for got, want in ((g, fd_g), (H, fd_H), (g_mu, fd_g_mu)):
+        assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, float(np.max(np.abs(want))))
+    assert np.allclose(H, H.T, rtol=0.0, atol=1e-9 * float(np.max(np.abs(H))))

@@ -1,10 +1,12 @@
 """Bipartite quantities: the unitary-group search, negativity, CNOT
 coherence-to-entanglement activation, composite-basis coherence, discord
 upper bounds over product unitaries, and the purity/coherence/discord
-hierarchy checks."""
+hierarchy checks. Each pass of the search scores its trial states as one
+stack, formed by one stacked conjugation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,43 +54,40 @@ class OptResult:
     improved_by_refinement: float
 
 
-def _generator_specs(d: int):
-    specs = [("diag", i, i) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            specs.append(("real", i, j))
-            specs.append(("imag", i, j))
-    return specs
-
-
-def _generator_step(d: int, spec, eps: float) -> np.ndarray:
-    """exp(i*eps*H) for one orthonormal Hermitian generator H; every
-    generator is supported on at most two indices, so the exponential is
-    a closed-form 2x2 block."""
-    kind, i, j = spec
-    g = np.eye(d, dtype=complex)
-    if kind == "diag":
-        g[i, i] = np.exp(1j * eps)
-        return g
-    t = eps / math.sqrt(2.0)
-    c, s = math.cos(t), math.sin(t)
-    if kind == "real":
-        g[i, i] = c
-        g[j, j] = c
-        g[i, j] = 1j * s
-        g[j, i] = 1j * s
-    else:
-        g[i, i] = c
-        g[j, j] = c
-        g[i, j] = s
-        g[j, i] = -s
-    return g
+@functools.lru_cache(maxsize=64)
+def _generator_steps(d: int, eps: float) -> np.ndarray:
+    """The read-only (2 d^2, d, d) stack of a pass's moves: exp(i e H) for
+    e = eps, then e = -eps, for every orthonormal Hermitian generator H in
+    turn (the d diagonal ones, then the real and the imaginary one of each
+    pair i < j). Every H is supported on at most two indices, so each
+    exponential is a closed-form 2x2 block."""
+    specs = [(i, i, None) for i in range(d)]
+    specs += [(i, j, real) for i in range(d) for j in range(i + 1, d) for real in (True, False)]
+    steps = []
+    for i, j, real in specs:
+        for e in (eps, -eps):
+            g = np.eye(d, dtype=complex)
+            if real is None:
+                g[i, i] = np.exp(1j * e)
+            else:
+                t = e / math.sqrt(2.0)
+                s = math.sin(t)
+                g[i, i] = g[j, j] = math.cos(t)
+                g[i, j], g[j, i] = (1j * s, 1j * s) if real else (s, -s)
+            steps.append(g)
+    steps = np.stack(steps)
+    steps.flags.writeable = False
+    return steps
 
 
 def _compose(factors) -> np.ndarray:
+    """The tensor product of ``factors``, each a matrix or a stack of them,
+    by one broadcast multiply: each entry is the product np.kron forms."""
     full = factors[0]
     for f in factors[1:]:
-        full = np.kron(full, f)
+        da, db = full.shape[-1], f.shape[-1]
+        prod = full[..., :, None, :, None] * f[..., None, :, None, :]
+        full = prod.reshape(*prod.shape[:-4], da * db, da * db)
     return full
 
 
@@ -112,8 +111,10 @@ def unitary_maximize(
     refined by steepest-ascent hill climbing along the Hermitian
     generator basis, one objective call per pass on all its
     2 * sum_f d_f^2 trial states, with the step halved from 0.3 down to
-    1e-6 whenever no move improves. The result is a certified lower bound
-    on the supremum and never falls below the objective at the identity.
+    1e-6 whenever no move improves; a pass takes one batched product per
+    factor with a cached stack of steps and one stacked conjugation. The
+    result is a certified lower bound on the supremum and never falls
+    below the objective at the identity.
 
     ``extra_candidates`` entries are single matrices for a global
     search and (U_A, U_B) factor tuples for a product search.
@@ -123,10 +124,10 @@ def unitary_maximize(
 
 
 class _Climb:
-    """One state's search: its state, current factors, values and step."""
+    """One state's search: its index, current factors, values and step."""
 
-    def __init__(self, rho, factors, value, evals):
-        self.rho = rho
+    def __init__(self, n, factors, value, evals):
+        self.n = n
         self.factors = [f.copy() for f in factors]
         self.value = self.candidate_value = value
         self.evals = evals
@@ -140,6 +141,18 @@ class _Climb:
             evals=self.evals,
             improved_by_refinement=self.value - self.candidate_value,
         )
+
+
+def _haar_draws(rngs, factor_dims, restarts: int) -> list:
+    """``restarts`` Haar factor tuples from each stream, bit for bit those of
+    haar_unitary calls in turn: the Ginibre draws keep that order, and each
+    factor dimension takes one batched QR."""
+    z = [[linalg._ginibre(fd, rng) for _ in range(restarts) for fd in factor_dims] for rng in rngs]
+    haar = [
+        linalg._haar_qr(np.array([zs[f :: len(factor_dims)] for zs in z], dtype=complex).reshape(len(rngs), restarts, fd, fd))
+        for f, fd in enumerate(factor_dims)
+    ]
+    return [list(zip(*(h[n] for h in haar))) for n in range(len(rngs))]
 
 
 def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=()) -> list:
@@ -160,42 +173,35 @@ def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=())
         factor_dims = (int(dims[0]), int(dims[1]))
         if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != dim:
             raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
+    mats = np.stack([rho.mat for rho in rhos])
 
-    def conj_values(pairs):
-        return [float(v) for v in objective([_trusted(u @ rho.mat @ dagger(u)) for rho, u in pairs])]
+    def conj_values(ns, us):
+        # the objective at U_k rho_{n_k} U_k^dag, one batched conjugation
+        conj = us @ mats[ns] @ np.conj(us).swapaxes(-1, -2)
+        return [float(v) for v in objective([_trusted(m) for m in conj])]
 
     fixed = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
     for u in extra_candidates:
-        fixed.append((np.asarray(u, dtype=complex),) if dims is None else tuple(u))
-    candidates = [
-        fixed + [tuple(linalg.haar_unitary(fd, rng) for fd in factor_dims) for _ in range(budget.restarts)]
-        for rng in rngs
-    ]
-    values = iter(conj_values([(rho, _compose(f)) for rho, cands in zip(rhos, candidates) for f in cands]))
+        fixed.append((np.asarray(u, dtype=complex),) if dims is None else tuple(map(np.asarray, u)))
+    candidates = [fixed + draws for draws in _haar_draws(rngs, factor_dims, budget.restarts)]
+    ns = np.repeat(np.arange(len(rhos)), [len(c) for c in candidates])
+    values = iter(conj_values(ns, np.stack([_compose(f) for cands in candidates for f in cands])))
     climbs = []
-    for rho, cands in zip(rhos, candidates):
+    for n, cands in enumerate(candidates):
         vals = [next(values) for _ in cands]
         best = int(np.argmax(vals))
-        climbs.append(_Climb(rho, cands[best], vals[best], len(vals)))
+        climbs.append(_Climb(n, cands[best], vals[best], len(vals)))
 
-    specs = [_generator_specs(fd) for fd in factor_dims]
     while running := [c for c in climbs if c.passes < budget.refine_iters and c.eps > EPS_STOP]:
-        moves = []
+        moves, trials = [], []
         for c in running:
             c.passes += 1
-            moves.append([
-                (f_idx, _generator_step(fd, spec, sign * c.eps))
-                for f_idx, fd in enumerate(factor_dims)
-                for spec in specs[f_idx]
-                for sign in (1.0, -1.0)
-            ])
-        trials = []
-        for c, climb_moves in zip(running, moves):
-            for f_idx, step in climb_moves:
-                trial = list(c.factors)
-                trial[f_idx] = c.factors[f_idx] @ step
-                trials.append((c.rho, _compose(trial)))
-        values = iter(conj_values(trials))
+            steps = [_generator_steps(fd, c.eps) for fd in factor_dims]
+            moves.append([(f_idx, step) for f_idx, s in enumerate(steps) for step in s])
+            # one batched product per factor, the other factors fixed
+            for f_idx, s in enumerate(steps):
+                trials.append(_compose(c.factors[:f_idx] + [c.factors[f_idx] @ s] + c.factors[f_idx + 1 :]))
+        values = iter(conj_values(np.repeat([c.n for c in running], [len(m) for m in moves]), np.concatenate(trials)))
         for c, climb_moves in zip(running, moves):
             c.evals += len(climb_moves)
             # the scan keeps the first strict improvement, as a sequential
@@ -345,12 +351,14 @@ def i_max_check(
     # marginal entropies change along the search
     s_rho = states.von_neumann(rho)
 
-    def mutual_info(state):
-        sa, sb = states._marginal_entropies(state, dims)
-        return max(sa + sb - s_rho, 0.0)
+    def mutual_info(states_):
+        sa, sb = states._marginal_entropies(np.stack([s.mat for s in states_]), dims)
+        i = sa + sb - s_rho
+        # max(i, 0) rowwise
+        return np.where(i < 0.0, 0.0, i)
 
     res = unitary_maximize(
-        lambda states_: [mutual_info(s) for s in states_],
+        mutual_info,
         rho,
         budget=budget,
         rng=rng,

@@ -252,11 +252,20 @@ def fidelity(rho, sigma) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def entropy_bits(p) -> float:
-    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
+def entropy_bits(p):
+    """Shannon entropy in bits with the 0 log 0 = 0 convention: a float for
+    one distribution, an array rowwise over a (N, d) stack of them."""
     p = np.asarray(p, dtype=float)
     nz = p > 0
-    return float(-np.sum(p[nz] * np.log2(p[nz])))
+    if p.ndim < 2:
+        return float(-np.sum(p[nz] * np.log2(p[nz])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(nz, p * np.log2(p), 0.0).sum(axis=1)
+    # numpy sums 8 or more terms pairwise, so zero terms would regroup a
+    # row's sum: such rows sum their nonzero terms alone
+    for n in np.flatnonzero(~nz.all(axis=1)) if p.shape[1] >= 8 else ():
+        h[n] = entropy_bits(p[n])
+    return h
 
 
 def rel_entropy(rho, sigma) -> float:
@@ -390,10 +399,19 @@ def split(rng: np.random.Generator, n: int) -> list:
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix
     with the R-diagonal phase fix."""
+    return _haar_qr(_ginibre(d, rng))
+
+
+def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x d complex Ginibre matrix drawn from ``rng``."""
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _haar_qr(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of Ginibre matrices (or of one)."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]

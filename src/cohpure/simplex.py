@@ -5,7 +5,8 @@ The engine, :func:`minimize_diags`, works on a stack of states. Where
 the minimum has a closed form (the relative entropy, Schatten-2,
 Petz--Renyi orders in (0,1), and the trace norm and fidelity on
 block-sparse states: every qubit, X and diagonal states), the distance's
-``closed_form_minimizer`` gives it exactly. The trace norm's other states
+``closed_forms`` gives it exactly, the relative entropy and Schatten-2 by
+one evaluation of the whole stack. The trace norm's other states
 run one log-barrier Newton homotopy together (:func:`_trace_norm_newton`):
 the objective is convex, so a single start suffices. The states of every
 other distance run one exponentiated-gradient mirror descent together,
@@ -91,21 +92,26 @@ class Distance:
         p = np.asarray(values, dtype=float)
         return self.between(np.diag(p).astype(complex), np.eye(p.size, dtype=complex) / p.size)
 
-    def closed_form_minimizer(self, rho):
-        """Return (value, q): the exact minimum over diagonal states and a
-        minimizer, where a formula is known for rho; else None, and
-        :func:`minimize_diags` runs its optimizer."""
+    def closed_forms(self, mats) -> list:
+        """For every state of a (N, d, d) stack, (value, q): the exact
+        minimum over diagonal states and a minimizer, where a formula is
+        known for the state; else None, and :func:`minimize_diags` runs its
+        optimizer. The base loops over the one-state :meth:`_closed_form`;
+        a distance that evaluates a whole stack at once overrides this."""
+        return [self._closed_form(m) for m in _stack(mats)]
+
+    def _closed_form(self, rho):
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
-        """Return the closure ``evaluate(Q, s=None) -> (V, G)`` over batches
-        Q of shape (R, d), rows on the simplex, and their state indices s of
-        shape (R,) into the (N, d, d) stack ``mats`` (one matrix counts as a
-        stack of one; s defaults to state 0 for every row): the objective V
-        of each row and its gradient G in q, both from one decomposition
-        of the row's matrix (the fidelity takes V from eigvalsh and G from
-        eigh). ``mu`` is the smoothing width for distances that declare a
-        schedule."""
+        """Return the closure ``evaluate(Q, s=None, below=None) -> (V, G)``
+        over batches Q of shape (R, d), rows on the simplex, and their state
+        indices s of shape (R,) into the (N, d, d) stack ``mats`` (one
+        matrix counts as a stack of one; s defaults to state 0 for every
+        row): the objective V of each row and its gradient G in q, both
+        from one decomposition of the row's matrix (the fidelity takes V
+        from eigvalsh and G from eigh, only where V < ``below`` if given).
+        ``mu`` is the smoothing width for distances that declare a schedule."""
         raise NotImplementedError
 
 
@@ -129,17 +135,18 @@ class RelEntropyDistance(Distance):
     def to_mixed(self, values):
         return _renyi_to_mixed(values, 1.0)
 
-    def closed_form_minimizer(self, rho):
-        q = _dephased(rho)
-        return max(float(self.diag_objective(rho)(q[None, :])[0][0]), 0.0), q
+    def closed_forms(self, mats):
+        # C_r = S(Delta rho) - S(rho) at q = Delta rho, clipped at 0
+        q = _dephased(_stack(mats))
+        v = self.diag_objective(mats)(q, np.arange(q.shape[0]))[0]
+        return list(zip(np.where(v < 0.0, 0.0, v).tolist(), q))
 
     def diag_objective(self, mats, mu: float = 0.0):
         m = _stack(mats)
         r = np.clip(np.real(np.diagonal(m, axis1=1, axis2=2)), 0.0, None)
-        p = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-        c1 = np.array([np.sum(pn[pn > 0] * np.log2(pn[pn > 0])) for pn in p])
+        c1 = -linalg.entropy_bits(np.clip(np.linalg.eigvalsh(m), 0.0, None))
 
-        def evaluate(Q, s=None):
+        def evaluate(Q, s=None, below=None):
             s = _rows(Q, s)
             rs = r[s]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,16 +181,21 @@ class SchattenDistance(Distance):
         p = np.asarray(values, dtype=float)
         return float(_p_norm(np.abs(p - 1.0 / p.size), self.p))
 
-    def closed_form_minimizer(self, rho):
-        """Schatten-2 on every state; the trace norm on block-sparse states
-        (every qubit, X and diagonal states), where each 2x2 block of rho -
-        diag q has an eigenvalue gap of at least 2|c|, c its off-diagonal:
-        C_l1 at q = diag rho (Rana, Parashar, Lewenstein, PRA 93, 012110)."""
+    def closed_forms(self, mats):
+        """Schatten-2 on every state, the whole stack at once; the trace
+        norm state by state on block-sparse states (every qubit, X and
+        diagonal states), where each 2x2 block of rho - diag q has an
+        eigenvalue gap of at least 2|c|, c its off-diagonal: C_l1 at
+        q = diag rho (Rana, Parashar, Lewenstein, PRA 93, 012110)."""
+        if self.p != 2.0:
+            return super().closed_forms(mats)
+        # ||rho - diag q||_2^2 = (off-diagonal mass) + |q - diag rho|^2
+        m = _stack(mats)
+        off = np.sum(np.abs(m * (1.0 - np.eye(m.shape[-1]))) ** 2, axis=(1, 2))
+        return list(zip(np.sqrt(off).tolist(), _dephased(m)))
+
+    def _closed_form(self, rho):
         m = as_matrix(rho)
-        if self.p == 2.0:
-            # ||rho - diag q||_2^2 = (off-diagonal mass) + |q - diag rho|^2
-            off = float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
-            return math.sqrt(off), _dephased(m)
         if self.p != 1.0 or (blocks := _blocks(m)) is None:
             return None
         _, _, cij, cji = blocks
@@ -194,7 +206,7 @@ class SchattenDistance(Distance):
         p = self.p
         idx = np.arange(m.shape[-1])
 
-        def evaluate(Q, s=None):
+        def evaluate(Q, s=None, below=None):
             A = m[_rows(Q, s)]
             A[:, idx, idx] -= Q
             lam, vec = np.linalg.eigh(A)
@@ -235,7 +247,7 @@ class OneMinusFidelityDistance(Distance):
         tr_sqrt = float(np.sum(np.sqrt(p)))
         return min(max(1.0 - tr_sqrt**2 / p.size, 0.0), 1.0 - 1.0 / p.size)
 
-    def closed_form_minimizer(self, rho):
+    def _closed_form(self, rho):
         """Block-sparse states (every qubit, X and diagonal states): the root
         fidelity splits over the blocks, so by Cauchy-Schwarz max F sums the
         blocks' maxima, (t + root) / 2 for a 2x2 block of diagonal sum t and
@@ -258,13 +270,12 @@ class OneMinusFidelityDistance(Distance):
     def diag_objective(self, mats, mu: float = 0.0):
         sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
 
-        def evaluate(Q, s=None):
-            sqs = sq[_rows(Q, s)]
-            B = np.einsum("rik,rk,rkj->rij", sqs, Q, sqs)
-            B = (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0
-            # V from eigvalsh, which differs from eigh's eigenvalues in the
+        def value(B):
+            # from eigvalsh, which differs from eigh's eigenvalues in the
             # last bits
-            V = 1.0 - np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(B), 0.0, None)), axis=1) ** 2
+            return 1.0 - np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(B), 0.0, None)), axis=1) ** 2
+
+        def gradient(B, sqs):
             lam, vec = np.linalg.eigh(B)
             lam = np.clip(lam, 0.0, None)
             t = np.sum(np.sqrt(lam), axis=1)
@@ -273,7 +284,17 @@ class OneMinusFidelityDistance(Distance):
             inv = np.where(lam > cut, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
             w = np.einsum("rik,rij->rkj", np.conj(vec), sqs)
             dt = 0.5 * np.einsum("rk,rki->ri", inv, np.abs(w) ** 2)
-            return V, -2.0 * t[:, None] * dt
+            return -2.0 * t[:, None] * dt
+
+        def evaluate(Q, s=None, below=None):
+            sqs = sq[_rows(Q, s)]
+            B = np.einsum("rik,rk,rkj->rij", sqs, Q, sqs)
+            B = (B + np.conj(np.swapaxes(B, 1, 2))) / 2.0
+            V = value(B)
+            live = np.full(V.shape, True) if below is None else V < below
+            G = np.zeros_like(Q)
+            G[live] = gradient(B[live], sqs[live])
+            return V, G
 
         return evaluate
 
@@ -293,7 +314,7 @@ class PetzAlphaDivergence(Distance):
     def to_mixed(self, values):
         return _renyi_to_mixed(values, self.alpha)
 
-    def closed_form_minimizer(self, rho):
+    def _closed_form(self, rho):
         a = self.alpha
         # Hoelder: sum_i c_i q_i^(1-a) <= (sum_i c_i^(1/a))^a with c the
         # diagonal of rho^a, attained at q_i proportional to c_i^(1/a).
@@ -315,7 +336,7 @@ class PetzAlphaDivergence(Distance):
         a = self.alpha
         coeff = np.stack([_diag_power(m, a) for m in _stack(mats)])
 
-        def evaluate(Q, s=None):
+        def evaluate(Q, s=None, below=None):
             c = coeff[_rows(Q, s)]
             t = np.einsum("ri,ri->r", c, Q ** (1.0 - a))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -372,7 +393,7 @@ class SandwichedAlphaDivergence(Distance):
         # form, no eigendecomposition
         A = np.abs(m) ** 2 if a == 2.0 else None
 
-        def evaluate(Q, s=None):
+        def evaluate(Q, s=None, below=None):
             s = _rows(Q, s)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 if A is not None:
@@ -490,7 +511,8 @@ def _eg_stage(evaluate, Q, s, max_iter, rel_tol):
     (Q, V, iterations, done), the last two per row: the iterations the
     row ran and whether it stopped before ``max_iter``. Each row keeps the
     value and gradient of its accepted point, so an iteration makes one
-    ``evaluate`` call, at the trial points of the rows still running.
+    ``evaluate`` call, at the trial points of the rows still running, and
+    needs the gradient only where a trial point improves on its row.
     Those rows' points, values, gradients, steps and counters are kept
     compact, and a row is written back once, when it stops. Rows never
     interact, and a row ends as it would in a batch of its own."""
@@ -512,7 +534,7 @@ def _eg_stage(evaluate, Q, s, max_iter, rel_tol):
         expo = -eta[:, None] * (gf - gf.sum(axis=1, keepdims=True) / d)
         qn = np.maximum(q * np.exp(np.minimum(np.maximum(expo, -_EXP_CLIP), _EXP_CLIP)), 1e-300)
         qn /= qn.sum(axis=1, keepdims=True)
-        vn, gn = evaluate(qn, sl)
+        vn, gn = evaluate(qn, sl, below=v)
         better = vn < v
         # rows whose objective is infinite throughout (inf - inf) are never better
         with np.errstate(invalid="ignore"):
@@ -552,10 +574,7 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     """
     distance = get_distance(distance)
     mats = _stack(mats)
-    results = []
-    for m in mats:
-        closed = distance.closed_form_minimizer(m)
-        results.append(None if closed is None else SimplexResult(closed[0], closed[1], True, 0, 1))
+    results = [None if c is None else SimplexResult(c[0], c[1], True, 0, 1) for c in distance.closed_forms(mats)]
     rest = [n for n, res in enumerate(results) if res is None]
     if rest:
         cfg = cfg or SimplexOptConfig()
@@ -664,7 +683,8 @@ def _trace_norm_newton(mats, max_iter: int) -> list:
         # the centre q(mu) has H dq/dmu = -dg/dmu on the simplex: a row that
         # passed steps by (mu' - mu) dq/dmu towards the next weight mu'
         jump = go & passed
-        step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * _newton_step(g_mu[jump], H[jump])[0]
+        if jump.any():
+            step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * _newton_step(g_mu[jump], H[jump])[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.minimum(1.0, _BOUNDARY * np.where(step < 0, -q / step, np.inf).min(axis=1))
         Q[rows[jump]] = q[jump] + t[jump, None] * step[jump]
@@ -716,6 +736,8 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     N, R, d = starts.shape
     s = np.repeat(np.arange(N), R)
     schedule = distance.smoothing or (0.0,)
+    # one objective per width, the unsmoothed one shared with the final pool
+    objectives = {mu: distance.diag_objective(mats, mu=mu) for mu in dict.fromkeys((*schedule, 0.0))}
     stage_iters = max(cfg.max_iter // len(schedule), 50)
     Q = starts.reshape(N * R, d).copy()
     total_it = np.zeros(N, dtype=int)
@@ -725,37 +747,37 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
         # intermediate smoothed landscapes only need to be solved to the
         # scale of their own smoothing width
         stage_tol = max(mu * 1e-2, _REL_TOL)
-        Q, _, iters, done = _eg_stage(distance.diag_objective(mats, mu=mu), Q, s, stage_iters, stage_tol)
+        Q, _, iters, done = _eg_stage(objectives[mu], Q, s, stage_iters, stage_tol)
         total_it += iters.reshape(N, R).max(axis=1)
         total_ev += 2 * iters.reshape(N, R).sum(axis=1)
     converged = done.reshape(N, R).all(axis=1)
     pool = np.concatenate([Q.reshape(N, R, d), starts], axis=1)
-    vals = distance.diag_objective(mats)(pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R))[0].reshape(N, 2 * R)
+    vals = objectives[0.0](pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R))[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
     results = []
     for n in range(N):
         q_best, v_best, ev = pool[n, best[n]].copy(), float(vals[n, best[n]]), 0
         if cfg.polish and distance.needs_polish:
-            q_best, v_best, ev = _slsqp_polish(distance, mats[n], q_best, v_best)
+            q_best, v_best, ev = _slsqp_polish(objectives[0.0], n, q_best, v_best)
         results.append(SimplexResult(v_best, q_best, bool(converged[n]), int(total_it[n]), int(total_ev[n]) + ev))
     return results
 
 
-def _slsqp_polish(distance, rho, q, v):
-    """Constrained quasi-Newton finish for non-smooth distances: mirror
-    descent lands near the kink valley of the trace norm but zigzags
-    inside it; SLSQP closes the last ~1e-5. Acceptance stays monotone."""
+def _slsqp_polish(evaluate, n, q, v):
+    """Constrained quasi-Newton finish of state ``n`` for non-smooth
+    distances: mirror descent lands near the kink valley of the trace norm
+    but zigzags inside it; SLSQP closes the last ~1e-5. Acceptance stays
+    monotone."""
     from scipy.optimize import minimize as _scipy_minimize
 
-    evaluate = distance.diag_objective(rho)
     d = q.size
 
     def fun(x):
-        return float(evaluate(np.clip(x, 0.0, None)[None, :])[0][0])
+        return float(evaluate(np.clip(x, 0.0, None)[None, :], [n])[0][0])
 
     def jac(x):
-        return evaluate(np.clip(x, 1e-14, None)[None, :])[1][0]
+        return evaluate(np.clip(x, 1e-14, None)[None, :], [n])[1][0]
 
     res = _scipy_minimize(
         fun,

@@ -68,11 +68,11 @@ class DensityMatrix:
 
     def __init__(self, mat, *, _validated=False):
         m = as_matrix(mat)
+        self._eig = None
         if not _validated:
-            m = _check_state(m)
+            m, self._eig = _check_state(m)
         self.mat = m
         self.dim = m.shape[0]
-        self._eig = None
         self._spectrum = None
 
     @property
@@ -91,17 +91,20 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _check_state(m: np.ndarray) -> np.ndarray:
+def _check_state(m: np.ndarray) -> tuple:
+    """The symmetrized matrix and its eigensystem, which the state keeps
+    as its own: positivity reads the smallest eigenvalue."""
     linalg._require_square(m)
     linalg._require_hermitian(m)
     m = (m + dagger(m)) / 2.0
     trace_dev = abs(float(np.real(np.trace(m))) - 1.0)
     if trace_dev > TRACE_TOL:
         raise ValidationError("trace", trace_dev)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
+    eig = linalg.hermitian_eig(m)
+    min_eig = float(eig.values[0])
     if min_eig < -MIN_EIG_TOL:
         raise ValidationError("positivity", abs(min_eig))
-    return m
+    return m, eig
 
 
 def validate(m) -> DensityMatrix:
@@ -206,11 +209,14 @@ def _renyi_bits(values: np.ndarray, alpha: float) -> float:
     return math.log2(float(np.sum(nz**alpha))) / (1.0 - alpha)
 
 
-def _marginal_entropies(rho: DensityMatrix, dims) -> tuple:
-    """(S(rho_A), S(rho_B)) in bits for a bipartite state."""
-    m = as_matrix(rho)
-    ra = linalg.partial_trace(m, 0, dims)
-    rb = linalg.partial_trace(m, 1, dims)
+def _marginal_entropies(mats, dims) -> tuple:
+    """(S(rho_A), S(rho_B)) in bits, two arrays, over a (N, d, d) stack of
+    bipartite states: one eigvalsh per stack of marginals."""
+    m = as_matrix(mats)
+    da, db = linalg._check_bipartite(m[0], dims)
+    t = m.reshape(-1, da, db, da, db)
+    ra = np.einsum("nijkj->nik", t)
+    rb = np.einsum("nijik->njk", t)
     sa = entropy_bits(np.clip(np.linalg.eigvalsh(ra), 0.0, None))
     sb = entropy_bits(np.clip(np.linalg.eigvalsh(rb), 0.0, None))
     return sa, sb
@@ -219,8 +225,8 @@ def _marginal_entropies(rho: DensityMatrix, dims) -> tuple:
 def mutual_information(rho: DensityMatrix, dims) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho) for a bipartite state."""
     rho = _as_state(rho)
-    sa, sb = _marginal_entropies(rho, dims)
-    return max(sa + sb - von_neumann(rho), 0.0)
+    sa, sb = _marginal_entropies(rho.mat[None], dims)
+    return max(float(sa[0] + sb[0]) - von_neumann(rho), 0.0)
 
 
 def _as_state(rho) -> DensityMatrix:

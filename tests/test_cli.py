@@ -18,7 +18,8 @@ import pytest
 from cohpure import cli as climod
 from cohpure import io
 from cohpure.simplex import MENU, SandwichedAlphaDivergence, SimplexResult
-from cohpure.states import diagonal, maximally_mixed, pure
+from cohpure.linalg import stream
+from cohpure.states import diagonal, maximally_mixed, pure, random_density
 
 GOLDEN = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("UPDATE_GOLDENS") == "1"
@@ -171,7 +172,7 @@ class TestQuantify:
 
     def test_non_finite_value_is_flagged(self, state_files, capsys, monkeypatch):
         def infinite(self, mats, mu=0.0):
-            return lambda Q, s=None: (np.full(Q.shape[0], np.inf), np.zeros_like(Q))
+            return lambda Q, s=None, below=None: (np.full(Q.shape[0], np.inf), np.zeros_like(Q))
 
         monkeypatch.setattr(SandwichedAlphaDivergence, "diag_objective", infinite)
         code = climod.main(["quantify", "--state", str(state_files / "binary.json"), "--alpha", "2"])
@@ -387,6 +388,40 @@ class TestHierarchy:
     def test_bad_dims_exit_two(self, state_files):
         proc = run_cli("hierarchy", "--state", str(state_files / "bell.json"), "--dims", "3,2")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("distance", MENU)
+    def test_same_json_twice_in_one_process(self, tmp_path, capsys, distance):
+        # the cached generator steps carry nothing from one run to the next
+        path = tmp_path / "r4.json"
+        io.write_state(path, random_density(4, 3, stream(8)), dims=(2, 2))
+        argv = ["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", distance,
+                "--restarts", "2", "--refine", "3", "--seed", "5"]
+        outs = []
+        for _ in range(2):
+            assert climod.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("distance", MENU)
+    @pytest.mark.parametrize("dims", ["1,1", "1,4", "4,1"])
+    def test_one_dimensional_factor(self, tmp_path, capsys, dims, distance):
+        d = 1 if dims == "1,1" else 4
+        path = tmp_path / "s.json"
+        io.write_state(path, random_density(d, d, stream(9)))
+        code = climod.main(["hierarchy", "--state", str(path), "--dims", dims, "--distance", distance,
+                            "--restarts", "2", "--refine", "2", "--seed", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["hierarchy"]["chain_ok"] and doc["max_hierarchy"]["ok"]
+
+    @pytest.mark.parametrize("distance", ["rel_entropy", "schatten_2"])
+    def test_refinement_without_restarts(self, tmp_path, capsys, distance):
+        # --restarts 0 scores only the fixed candidates, then climbs
+        path = tmp_path / "r4.json"
+        io.write_state(path, random_density(4, 3, stream(10)), dims=(2, 2))
+        code = climod.main(["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", distance,
+                            "--restarts", "0", "--refine", "3", "--seed", "5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["hierarchy"]["chain_ok"]
 
 
 class TestVerifyCommand:

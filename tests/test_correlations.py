@@ -23,6 +23,7 @@ from cohpure.linalg import DomainError, ValidationError, haar_unitary, kron, str
 from cohpure.purity import p_distance
 from cohpure.simplex import MENU, SimplexOptConfig
 from cohpure.states import (
+    _trusted,
     diagonal,
     from_bloch,
     maximally_mixed,
@@ -224,6 +225,113 @@ class TestLockstepSearch:
             rng,
         )
         assert rep.d_max_lower == want.best_value
+
+
+def _oracle_step(d, i, j, kind, eps):
+    """exp(i eps H) for one orthonormal Hermitian generator H."""
+    g = np.eye(d, dtype=complex)
+    if kind == "diag":
+        g[i, i] = np.exp(1j * eps)
+        return g
+    t = eps / math.sqrt(2.0)
+    c, s = math.cos(t), math.sin(t)
+    g[i, i] = g[j, j] = c
+    g[i, j], g[j, i] = (1j * s, 1j * s) if kind == "real" else (s, -s)
+    return g
+
+
+def _per_move_search(objective, rho, budget, rng, dims=None, extra=()):
+    """unitary_maximize one trial at a time: np.kron products, and one
+    step, one product and one conjugation per move, each trial state scored
+    on its own. Returns (best value, best unitary, evals, improvement)."""
+    factor_dims = (rho.dim,) if dims is None else tuple(dims)
+
+    def compose(factors):
+        full = factors[0]
+        for f in factors[1:]:
+            full = np.kron(full, f)
+        return full
+
+    def value(factors):
+        u = compose(factors)
+        return float(objective([_trusted(u @ rho.mat @ u.conj().T)])[0])
+
+    cands = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims), *extra]
+    cands += [tuple(haar_unitary(fd, rng) for fd in factor_dims) for _ in range(budget.restarts)]
+    vals = [value(c) for c in cands]
+    best = int(np.argmax(vals))
+    factors, val, evals = list(cands[best]), vals[best], len(vals)
+    eps, start = correlations.EPS_START, val
+    for _ in range(budget.refine_iters):
+        if eps <= correlations.EPS_STOP:
+            break
+        best_move, best_val = None, val
+        for f, fd in enumerate(factor_dims):
+            pairs = [(i, j, kind) for i in range(fd) for j in range(i + 1, fd) for kind in ("real", "imag")]
+            for i, j, kind in [(i, i, "diag") for i in range(fd)] + pairs:
+                for e in (eps, -eps):
+                    step = _oracle_step(fd, i, j, kind, e)
+                    trial = list(factors)
+                    trial[f] = factors[f] @ step
+                    v = value(trial)
+                    evals += 1
+                    if v > best_val + 1e-15:
+                        best_move, best_val = (f, step), v
+        if best_move is None:
+            eps /= 2.0
+        else:
+            f, step = best_move
+            factors[f] = factors[f] @ step
+            val = best_val
+    return val, compose(factors), evals, val - start
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize(
+        "dims,d,distance",
+        [(None, 3, "rel_entropy"), (None, 4, "schatten_2"), ((2, 2), 4, "rel_entropy"), ((1, 4), 4, "schatten_2"),
+         ((4, 1), 4, "rel_entropy"), ((2, 3), 6, "schatten_2"), ((1, 1), 1, "rel_entropy")],
+    )
+    # no restarts: only the identity and the injected candidate are scored
+    @pytest.mark.parametrize("budget", [Budget(3, 6), Budget(0, 3)], ids=["restarts", "no_restarts"])
+    def test_matches_per_move_oracle(self, dims, d, distance, budget):
+        # lockstep climbs whose passes are stacked end where one search per
+        # state, one move at a time, ends
+        rng = stream(44)
+        rhos = [random_density(d, rank, rng) for rank in sorted({1, max(d - 1, 1), d})]
+        extra = [haar_unitary(d, rng)] if dims is None else [tuple(haar_unitary(fd, rng) for fd in dims)]
+        def objective(ss):
+            return c_distances(ss, distance)
+
+        got = correlations._maximize_all(objective, rhos, budget, [stream(45 + n) for n in range(len(rhos))], dims, extra)
+        refined = 0
+        for n, (rho, res) in enumerate(zip(rhos, got, strict=True)):
+            value, unitary, evals, improved = _per_move_search(
+                objective, rho, budget, stream(45 + n), dims, [extra[0] if dims else (extra[0],)]
+            )
+            assert res.best_value == value and res.evals == evals and res.improved_by_refinement == improved
+            assert np.array_equal(res.best_unitary, unitary)
+            refined += improved > 0
+        assert d == 1 or refined > 0
+
+    @pytest.mark.parametrize("restarts", [5, 0])
+    @pytest.mark.parametrize("factor_dims", [(1, 4), (4, 1), (2, 3), (3,)])
+    def test_batched_haar_draws_match_sequential(self, factor_dims, restarts):
+        draws = correlations._haar_draws([stream(46), stream(47)], factor_dims, restarts)
+        for seed, tuples in zip((46, 47), draws, strict=True):
+            rng = stream(seed)
+            assert len(tuples) == restarts
+            for got in tuples:
+                for u, fd in zip(got, factor_dims, strict=True):
+                    assert np.array_equal(u, haar_unitary(fd, rng))
+
+    def test_generator_steps_are_cached_read_only(self):
+        steps = correlations._generator_steps(3, 0.15)
+        assert steps.shape == (18, 3, 3) and not steps.flags.writeable
+        assert correlations._generator_steps(3, 0.15) is steps
+        with pytest.raises(ValueError):
+            steps[0, 0, 0] = 0.0
+        assert np.max(np.abs(np.conj(steps).swapaxes(1, 2) @ steps - np.eye(3))) <= 1e-15
 
 
 class TestNegativity:

@@ -302,6 +302,21 @@ class TestTensorOps:
             partial_trace(BELL, 0, (3, 2))
 
 
+class TestEntropyBits:
+    def test_rows_match_one_distribution(self):
+        # from 8 terms up numpy sums pairwise, so a row with zero terms
+        # must still sum its nonzero terms as a lone distribution does
+        rng = stream(24)
+        for d in range(1, 20):
+            P = rng.dirichlet(np.ones(d), size=7)
+            P[rng.random(P.shape) < 0.3] = 0.0
+            P[0] = np.eye(d)[0]
+            rows = linalg.entropy_bits(P)
+            assert rows.shape == (7,)
+            for p, h in zip(P, rows):
+                assert h == linalg.entropy_bits(p)
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         rng = stream(1)

@@ -15,6 +15,7 @@ from cohpure.simplex import (
     MENU,
     OneMinusFidelityDistance,
     PetzAlphaDivergence,
+    RelEntropyDistance,
     SandwichedAlphaDivergence,
     SchattenDistance,
     SimplexOptConfig,
@@ -277,9 +278,9 @@ class TestClosedForms:
             for _ in range(3):
                 rho = random_density(d, rank, rng).mat
                 if max_block == 2 and not _block_sparse(rho):
-                    assert dist.closed_form_minimizer(rho) is None
+                    assert dist.closed_forms(rho)[0] is None
                     continue
-                value, q = dist.closed_form_minimizer(rho)
+                value, q = dist.closed_forms(rho)[0]
                 oracle = _mirror_descent(rho, dist, SimplexOptConfig())[0]
                 assert value <= oracle.value + slack
                 assert value >= oracle.value - 1e-7
@@ -300,7 +301,7 @@ class TestClosedForms:
         for d in range(3, 7):
             rho = _block_state(d, kind, rng)
             assert _block_sparse(rho)
-            value, q = dist.closed_form_minimizer(rho)
+            value, q = dist.closed_forms(rho)[0]
             oracle = _mirror_descent(rho, dist, SimplexOptConfig())[0]
             assert -1e-9 <= value - oracle.value <= slack
             assert abs(dist.diag_objective(rho)(q[None, :])[0][0] - value) <= slack
@@ -312,14 +313,14 @@ class TestClosedForms:
             assert np.array_equal(res.q, q)
             # a weak dense admixture couples every row to every other
             near = 0.999 * rho + 0.001 * random_density(d, d, rng).mat
-            assert dist.closed_form_minimizer(near) is None
+            assert dist.closed_forms(near)[0] is None
 
     def test_fidelity_formula_on_pure_qubits(self):
         # F(psi, diag q) = sum_i q_i |psi_i|^2 peaks at the heavier vertex
         rng = stream(44)
         for _ in range(20):
             rho = random_density(2, 1, rng).mat
-            value, q = OneMinusFidelityDistance().closed_form_minimizer(rho)
+            value, q = OneMinusFidelityDistance().closed_forms(rho)[0]
             p = np.real(np.diagonal(rho))
             assert abs(value - p.min()) <= 1e-12
             assert np.allclose(q, p == p.max(), atol=1e-6)
@@ -352,7 +353,7 @@ def edge_states(draw):
 @given(rho=edge_states())
 def test_closed_form_properties(dist, max_block, rho):
     d = rho.shape[0]
-    closed = dist.closed_form_minimizer(rho)
+    closed = dist.closed_forms(rho)[0]
     if max_block == 2 and not _block_sparse(rho):
         assert closed is None
         return
@@ -507,6 +508,92 @@ def test_stack_matches_solo_runs(dist, cfg):
             solo = minimize_diag(m, dist, cfg)
             assert res.value == solo.value and np.array_equal(res.q, solo.q)
             assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
+
+
+@st.composite
+def closed_form_stacks(draw):
+    """One to five states of one dimension d = 1..10: full rank,
+    rank-deficient, block-sparse, and diagonal with zero entries."""
+    d = draw(st.integers(1, 10))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["full", "deficient", "block", "diagonal"]), min_size=1, max_size=5)):
+        if kind == "block" and d >= 2:
+            mats.append(_block_state(d, rng.choice(["x", "block"]), rng))
+        elif kind == "diagonal":
+            p = rng.dirichlet(np.ones(d))
+            p[rng.permutation(d)[: int(rng.integers(0, d))]] = 0.0
+            mats.append(np.diag(p / p.sum()).astype(complex))
+        else:
+            mats.append(random_density(d, d if kind == "full" else int(rng.integers(1, d + 1)), rng).mat)
+    return np.stack(mats)
+
+
+def _one_state_formula(dist, m):
+    """The relative entropy's and Schatten-2's closed forms for one state,
+    written as they were before they ran over a stack; None for the other
+    distances."""
+    q = _dephased(m)
+    if isinstance(dist, RelEntropyDistance):
+        p = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        r = np.clip(np.real(np.diagonal(m)), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(r > 0, r * np.log2(q), 0.0).sum()
+        return max(float(np.sum(p[p > 0] * np.log2(p[p > 0])) - cross), 0.0), q
+    if isinstance(dist, SchattenDistance) and dist.p == 2.0:
+        return math.sqrt(float(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))), q
+    return None
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: d.name)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mats=closed_form_stacks())
+def test_closed_forms_match_one_state_closed_forms(dist, mats):
+    # every state of a stack gets the bits of its closed form in a stack of
+    # one, and the stacked relative entropy and Schatten-2 those of their
+    # one-state formulas, whose masked sums regroup from 8 terms up
+    for m, closed in zip(mats, dist.closed_forms(mats), strict=True):
+        solo = dist.closed_forms(m[None])[0]
+        if solo is None:
+            assert closed is None
+            continue
+        assert closed[0] == solo[0] and np.array_equal(closed[1], solo[1])
+        if (formula := _one_state_formula(dist, m)) is not None:
+            assert closed[0] == formula[0] and np.array_equal(closed[1], formula[1])
+
+
+def test_rel_entropy_stack_takes_one_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = stream(72)
+    mats = np.stack([random_density(5, rank, rng).mat for rank in (1, 2, 3, 5, 5, 4)])
+    results = minimize_diags(mats, "rel_entropy")
+    assert calls == [mats.shape]
+    assert all(res.converged and res.iterations == 0 for res in results)
+
+
+def test_fidelity_gradient_only_below():
+    # the gradient rows the evaluator takes below a threshold are the bits
+    # of the full evaluation, and of a one-row evaluation
+    rng = stream(73)
+    evaluate = OneMinusFidelityDistance().diag_objective(np.stack([random_density(4, r, rng).mat for r in (4, 2, 1)]))
+    Q = rng.dirichlet(np.ones(4), size=12)
+    s = np.arange(12) % 3
+    V, G = evaluate(Q, s)
+    below = V + np.where(rng.random(12) < 0.5, 1e-3, -1e-3)
+    V2, G2 = evaluate(Q, s, below=below)
+    live = V < below
+    assert 0 < live.sum() < 12
+    assert np.array_equal(V2, V) and np.array_equal(G2[live], G[live]) and not G2[~live].any()
+    for i in range(12):
+        Vi, Gi = evaluate(Q[i : i + 1], s[i : i + 1])
+        assert Vi[0] == V[i] and np.array_equal(Gi[0], G[i])
 
 
 def test_renyi2_quadratic_form_matches_eigendecomposition():

@@ -6,6 +6,7 @@ import pytest
 from cohpure import linalg, majorization
 from cohpure.linalg import DomainError, ValidationError, haar_unitary, stream
 from cohpure.states import (
+    _marginal_entropies,
     Spectrum,
     diagonal,
     from_bloch,
@@ -44,6 +45,18 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(np.array([[0.5, 0.5], [0.0, 0.5]]))
         assert err.value.invariant == "hermiticity"
+
+    def test_keeps_the_eigensystem_it_checked(self):
+        # validation decomposes the state once, and the state keeps those
+        # bits: a fresh decomposition of its matrix gives the same ones
+        rng = stream(31)
+        for d, rank in ((1, 1), (3, 2), (5, 5), (8, 3)):
+            m = random_density(d, rank, rng).mat
+            rho = validate(m + 1e-12 * (m - m.conj().T + 0.5j * np.eye(d)))
+            assert rho._eig is not None
+            fresh = linalg.hermitian_eig(rho.mat)
+            assert np.array_equal(rho.eigensystem.values, fresh.values)
+            assert np.array_equal(rho.eigensystem.vectors, fresh.vectors)
 
 
 class TestConstructors:
@@ -168,6 +181,23 @@ class TestMutualInformation:
 
     def test_maximally_mixed(self):
         assert mutual_information(maximally_mixed(4), (2, 2)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 4), (4, 1), (2, 3), (3, 3), (8, 2), (2, 9)])
+    def test_stacked_marginal_entropies_match_one_state(self, dims):
+        # pure, rank-deficient and product states give marginals with zero
+        # eigenvalues, which the stacked entropies must sum as one state does
+        rng = stream(32)
+        da, db = dims
+        d = da * db
+        mats = [random_density(d, rank, rng).mat for rank in sorted({1, 2, max(d // 2, 1), d} & set(range(1, d + 1)))]
+        mats.append(linalg.kron(random_density(da, 1, rng).mat, random_density(db, db, rng).mat))
+        rhos = [validate(m) for m in mats]
+        sa, sb = _marginal_entropies(np.stack([rho.mat for rho in rhos]), dims)
+        for rho, a, b in zip(rhos, sa, sb, strict=True):
+            for h, keep in ((a, 0), (b, 1)):
+                marginal = linalg.partial_trace(rho.mat, keep, dims)
+                assert h == linalg.entropy_bits(np.clip(np.linalg.eigvalsh(marginal), 0.0, None))
+            assert mutual_information(rho, dims) == max(a + b - von_neumann(rho), 0.0)
 
 
 class TestSpectrum:

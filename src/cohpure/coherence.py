@@ -131,7 +131,7 @@ def c_alpha_result(rho, alpha: float, opt: SimplexOptConfig | None = None) -> Si
     if alpha == 1.0:
         v = c_rel_entropy(rho)
         q = np.clip(np.real(np.diagonal(rho.mat)), 0.0, None)
-        return SimplexResult(v, q / q.sum(), True, 0, 1)
+        return SimplexResult(v, q / q.sum(), True, 0, 1, "closed_form")
     if 0.0 < alpha < 1.0:
         div = simplex.PetzAlphaDivergence(alpha)
     elif alpha > 1.0:

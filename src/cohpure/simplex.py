@@ -6,19 +6,22 @@ the minimum has a closed form (the relative entropy, Schatten-2,
 Petz--Renyi orders in (0,1), and the trace norm and fidelity on
 block-sparse states: every qubit, X and diagonal states), the distance's
 ``closed_forms`` gives it exactly, the relative entropy and Schatten-2 by
-one evaluation of the whole stack. The trace norm's other states
-run one log-barrier Newton homotopy together (:func:`_trace_norm_newton`):
-the objective is convex, so a single start suffices. The states of every
-other distance run one exponentiated-gradient mirror descent together,
+one evaluation of the whole stack. The other states of the trace norm and
+of sandwiched order 2 run one damped Newton method on the simplex together
+(:func:`_simplex_newton`): the trace norm through a log-barrier homotopy on
+the pencil rho - diag q, order 2 on its quadratic form in q^(-1/2) in one
+stage. Both objectives are convex, so a single start suffices. The states of
+every other distance run one exponentiated-gradient mirror descent together,
 with multiple starts each (Dirichlet draws plus the dephased state and the
 uniform point), per-row step halving on non-improvement, and monotone
 acceptance. Either way the returned value never exceeds the objective at
 the uniform or the dephased point, which downstream code relies on for
 certified upper bounds. Rows never interact, so each state's result is bit
-for bit that of a run on its own. Mirror descent, with the trace norm's
-smoothing schedule and SLSQP polish, also serves the tests as the oracle
-for the closed forms and the Newton solver, and a dense grid search over
-the simplex as the independent verification oracle at small dimension.
+for bit that of a run on its own, and names its method. Mirror descent,
+with the trace norm's smoothing schedule and SLSQP polish, also serves the
+tests as the oracle for the closed forms and the Newton solver, and a dense
+grid search over the simplex as the independent verification oracle at
+small dimension.
 """
 
 from __future__ import annotations
@@ -103,6 +106,12 @@ class Distance:
     def _closed_form(self, rho):
         return None
 
+    def newton_objective(self, mats):
+        """The convex objective that :func:`_simplex_newton` minimizes for
+        the (N, d, d) stack ``mats``, or None, and :func:`minimize_diags`
+        runs mirror descent."""
+        return None
+
     def diag_objective(self, mats, mu: float = 0.0):
         """Return the closure ``evaluate(Q, s=None, below=None) -> (V, G)``
         over batches Q of shape (R, d), rows on the simplex, and their state
@@ -170,7 +179,7 @@ class SchattenDistance(Distance):
             # |lam| is non-smooth at eigenvalue sign changes; mirror
             # descent anneals sqrt(lam^2 + mu^2) down to the true objective.
             # It runs the trace norm only as the tests' oracle:
-            # minimize_diags sends it to _trace_norm_newton
+            # minimize_diags sends it to _simplex_newton
             self.smoothing = (1e-2, 1e-4, 1e-6, 1e-8, 0.0)
             self.needs_polish = True
 
@@ -200,6 +209,9 @@ class SchattenDistance(Distance):
             return None
         _, _, cij, cji = blocks
         return float(np.sum(cij + cji)), _dephased(m)
+
+    def newton_objective(self, mats):
+        return _TraceNormBarrier(mats) if self.p == 1.0 else None
 
     def diag_objective(self, mats, mu: float = 0.0):
         m = _stack(mats)
@@ -384,26 +396,35 @@ class SandwichedAlphaDivergence(Distance):
     def to_mixed(self, values):
         return _renyi_to_mixed(values, self.alpha)
 
+    def newton_objective(self, mats):
+        return _RenyiTwoForm(mats, self.diag_objective(mats)) if self.alpha == 2.0 else None
+
     def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
         # (1 - a) / (2a) without forming 2a, which overflows at a = 1e308
         beta = (1.0 - a) / a / 2.0
         m = _stack(mats)
+        # rows of rho that are not zero: a point with q_i = 0 on one of them
+        # violates the support condition, and elsewhere sigma^beta is taken
+        # on sigma's support, where it is rho's
+        live = np.any(m != 0, axis=2)
         # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a quadratic
         # form, no eigendecomposition
         A = np.abs(m) ** 2 if a == 2.0 else None
 
         def evaluate(Q, s=None, below=None):
             s = _rows(Q, s)
+            outside = np.any((Q == 0) & live[s], axis=1)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 if A is not None:
-                    w = 1.0 / np.sqrt(Q)
+                    w = np.where(Q > 0, 1.0 / np.sqrt(Q), 0.0)
                     Aw = np.einsum("rij,rj->ri", A[s], w)
                     t = np.einsum("ri,ri->r", w, Aw)
                     # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
                     G = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
-                    return _renyi_value(t, a), np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
-                w = Q**beta
+                    V = np.where(outside, np.inf, _renyi_value(t, a))
+                    return V, np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
+                w = np.where(Q > 0, Q**beta, 0.0)
                 M = m[s] * (w[:, :, None] * w[:, None, :])
                 lam, vec = np.linalg.eigh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0)
                 # scaled by the largest eigenvalue, lam^a cannot overflow at
@@ -412,6 +433,7 @@ class SandwichedAlphaDivergence(Distance):
                 la = (np.clip(lam, 0.0, None) / top[:, None]) ** a
                 t = np.sum(la, axis=1)
                 V = np.where(top > 0, a / (a - 1.0) * np.log2(top) + np.log2(t) / (a - 1.0), np.inf)
+                V = np.where(outside, np.inf, V)
                 # dT/dq_i / T = 2 a beta (M^a)_ii / (q_i T), a ratio free of the scale
                 diag_ma = np.einsum("rik,rk->ri", np.abs(vec) ** 2, la)
                 G = 2.0 * a * beta * diag_ma / Q / ((a - 1.0) * LN2 * t)[:, None]
@@ -450,9 +472,10 @@ class SimplexOptConfig:
     mirror descent adds on top of the always-included dephased and uniform
     points; ``polish`` enables the SLSQP finish for distances that need it
     (the fidelity, whose pure-state optima sit on simplex vertices). The
-    trace norm's Newton solver is convex and starts once, so it reads only
-    ``max_iter``, as its cap on steps per state, and ignores
-    ``restarts``, ``seed`` and ``polish``, as the closed forms do."""
+    Newton solver of the trace norm and of sandwiched order 2 is convex and
+    starts once, so it reads only ``max_iter``, as its cap on steps per
+    state, and ignores ``restarts``, ``seed`` and ``polish``, as the closed
+    forms do."""
 
     restarts: int = 20
     max_iter: int = 5000
@@ -462,11 +485,16 @@ class SimplexOptConfig:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """One state's minimum: its value, a minimizer q, and how it was found.
+    ``method`` names the path: ``"closed_form"``, ``"newton"``
+    (:func:`_simplex_newton`) or ``"mirror_descent"``."""
+
     value: float
     q: np.ndarray
     converged: bool
     iterations: int
     evals: int
+    method: str = "mirror_descent"
 
 
 def _blocks(m: np.ndarray):
@@ -566,20 +594,24 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     every state of a (N, d, d) stack; one SimplexResult per state.
 
     Each state takes the distance's closed form where one applies; the
-    others run as one batch, through :func:`_trace_norm_newton` for the
-    trace norm and :func:`_mirror_descent` for every other distance, in
+    others run as one batch, through :func:`_simplex_newton` where the
+    distance gives a ``newton_objective`` (the trace norm and sandwiched
+    order 2) and :func:`_mirror_descent` for every other distance, in
     which every state gets the value, q, iterations, evaluations and
     convergence flag of a run on its own. A non-finite value is never
     reported as converged, and a value in [-1e-12, 0) is reported as 0.
     """
     distance = get_distance(distance)
     mats = _stack(mats)
-    results = [None if c is None else SimplexResult(c[0], c[1], True, 0, 1) for c in distance.closed_forms(mats)]
+    results = [
+        None if c is None else SimplexResult(c[0], c[1], True, 0, 1, "closed_form")
+        for c in distance.closed_forms(mats)
+    ]
     rest = [n for n, res in enumerate(results) if res is None]
     if rest:
         cfg = cfg or SimplexOptConfig()
-        if isinstance(distance, SchattenDistance) and distance.p == 1.0:
-            solved = _trace_norm_newton(mats[rest], cfg.max_iter)
+        if (objective := distance.newton_objective(mats[rest])) is not None:
+            solved = _simplex_newton(objective, cfg.max_iter)
         else:
             solved = _mirror_descent(mats[rest], distance, cfg)
         for n, res in zip(rest, solved):
@@ -631,37 +663,120 @@ def _barrier_derivatives(lam, vec, Q, mu):
     return g, H, g_mu
 
 
-def _newton_step(g, H):
+def _newton_step(g, H, fixed):
     """The Newton step on the simplex, from the KKT system [[H, 1], [1^T, 0]],
-    and its squared decrement -g . step, rowwise."""
+    and its squared decrement -g . step, rowwise. Where ``fixed`` (R, d) is
+    set, the system's row and column of that index are the identity's, so
+    the step leaves the index where it is."""
     R, d = g.shape
     K = np.ones((R, d + 1, d + 1))
     K[:, :d, :d] = H
     K[:, d, d] = 0.0
+    if fixed.any():
+        r, i = np.nonzero(fixed)
+        K[r, i, :] = 0.0
+        K[r, :, i] = 0.0
+        K[r, i, i] = 1.0
     rhs = np.zeros((R, d + 1, 1))
     rhs[:, :d, 0] = -g
     step = np.linalg.solve(K, rhs)[:, :d, 0]
     return step, -np.einsum("ri,ri->r", g, step)
 
 
-def _trace_norm_newton(mats, max_iter: int) -> list:
-    """min_q ||rho - diag q||_1 over a stack of states by a log-barrier
-    Newton homotopy: for each weight mu of ``_BARRIER`` in turn, damped
-    Newton steps on f_mu, the first from (dephased + uniform) / 2. A stage
-    ends when the squared Newton decrement falls below ``_DECREMENT * mu``,
-    or below what the round-off of f_mu can resolve; the next stage starts
-    from the point a tangent step along the central path predicts for its
-    weight. Each state takes at most ``max_iter`` steps, and stops
-    unconverged when a line search finds no decrease. The objective is
-    convex, so one start suffices. The value is the exact trace norm at the
-    best of the Newton point, the uniform point and the dephased point, so
-    it never exceeds D(rho, 1/d) or D(rho, Delta rho). Rows never interact:
-    each state gets the result of a run on its own."""
-    mats = _stack(mats)
+class _TraceNormBarrier:
+    """The trace norm's part of :func:`_simplex_newton`: the barrier
+    f_mu(q) = sum_k sqrt(lam_k^2 + mu^2) - mu sum_i log q_i over the
+    eigenvalues lam of the pencil rho - diag q, for each weight mu of
+    ``_BARRIER`` in turn, from (dephased + uniform) / 2; the exact value
+    is the trace norm."""
+
+    schedule = _BARRIER
+
+    def __init__(self, mats):
+        self.mats = mats
+        self.fixed = np.zeros(mats.shape[:2], dtype=bool)
+        self.start = (_dephased(mats) + 1.0 / mats.shape[-1]) / 2.0
+
+    def _pencil(self, s, Q):
+        A = self.mats[s]
+        idx = np.arange(Q.shape[1])
+        A[:, idx, idx] -= Q
+        return A
+
+    def derivatives(self, s, Q, mu):
+        lam, vec = np.linalg.eigh(self._pencil(s, Q))
+        return (_barrier_value(lam, Q, mu), *_barrier_derivatives(lam, vec, Q, mu))
+
+    def values(self, s, Q, mu):
+        return _barrier_value(np.linalg.eigvalsh(self._pencil(s, Q)), Q, mu)
+
+    def exact(self, s, Q):
+        return np.sum(np.abs(np.linalg.eigvalsh(self._pencil(s, Q))), axis=1)
+
+
+class _RenyiTwoForm:
+    """Sandwiched order 2's part of :func:`_simplex_newton`: the quadratic
+    form T(q) = sum_ij A_ij w_i w_j with A = |rho_ij|^2 and w = q^(-1/2),
+    convex in q (Frank & Lieb, J. Math. Phys. 54, 122201), with gradient
+    -w^3 (A w) and Hessian A o (w^3 w^3^T) / 2 + diag(3/2 (A w) w^5). T
+    grows without bound towards every face q_i = 0 with rho_ii > 0, so one
+    stage with no barrier suffices, from (dephased + uniform on the
+    support) / 2; an index whose row of A vanishes stays at q_i = 0. The
+    exact value is the divergence's own objective, log2 T."""
+
+    schedule = (0.0,)
+
+    def __init__(self, mats, evaluate):
+        self.mats = mats
+        self.A = np.abs(mats) ** 2
+        self.fixed = ~self.A.any(axis=2)
+        free = ~self.fixed
+        self.start = (_dephased(mats) + free / free.sum(axis=1, keepdims=True)) / 2.0
+        self._evaluate = evaluate
+
+    def _form(self, s, Q):
+        with np.errstate(divide="ignore"):
+            w = np.where(self.fixed[s], 0.0, 1.0 / np.sqrt(Q))
+        A = self.A[s]
+        Aw = np.einsum("rij,rj->ri", A, w)
+        return A, w, Aw, np.einsum("ri,ri->r", w, Aw)
+
+    def derivatives(self, s, Q, mu):
+        A, w, Aw, T = self._form(s, Q)
+        w3 = w**3
+        H = 0.5 * A * (w3[:, :, None] * w3[:, None, :])
+        idx = np.arange(Q.shape[1])
+        H[:, idx, idx] += 1.5 * Aw * w3 * w * w
+        return T, -w3 * Aw, H, None
+
+    def values(self, s, Q, mu):
+        return self._form(s, Q)[3]
+
+    def exact(self, s, Q):
+        return self._evaluate(Q, s)[0]
+
+
+def _simplex_newton(objective, max_iter: int) -> list:
+    """min_q f(q) over the simplex for a stack of states by damped Newton
+    steps on a convex objective (:class:`_TraceNormBarrier`,
+    :class:`_RenyiTwoForm`). The objective supplies the stack ``mats``, the
+    ``start``, the stage ``schedule`` of barrier weights mu, the indices
+    ``fixed`` at q_i = 0, f_mu with its gradient, Hessian and the gradient's
+    derivative in mu (``derivatives``), f_mu alone (``values``) and the
+    exact value (``exact``). For each weight in turn, a stage ends when
+    the squared Newton decrement falls below ``_DECREMENT * mu``, or below
+    what the round-off of f_mu can resolve; the next stage starts from the
+    point a tangent step along the central path predicts for its weight.
+    Each state takes at most ``max_iter`` steps, and stops unconverged when
+    a line search finds no decrease. The objective is convex, so one start
+    suffices. The value is the objective's exact value at the best of the
+    Newton point, the uniform point and the dephased point, so it never
+    exceeds D(rho, 1/d) or D(rho, Delta rho). Rows never interact: each
+    state gets the result of a run on its own."""
+    mats = objective.mats
     N, d = mats.shape[0], mats.shape[-1]
-    idx = np.arange(d)
-    mus = np.array(_BARRIER)
-    Q = (_dephased(mats) + 1.0 / d) / 2.0
+    mus = np.array(objective.schedule)
+    Q = objective.start.copy()
     stage = np.zeros(N, dtype=int)
     iters = np.zeros(N, dtype=int)
     evals = np.zeros(N, dtype=int)
@@ -669,14 +784,11 @@ def _trace_norm_newton(mats, max_iter: int) -> list:
     rows = np.arange(N)
     while rows.size:
         q = Q[rows]
-        A = mats[rows]
-        A[:, idx, idx] -= q
-        lam, vec = np.linalg.eigh(A)
-        evals[rows] += 1
         mu = mus[stage[rows]]
-        f = _barrier_value(lam, q, mu)
-        g, H, g_mu = _barrier_derivatives(lam, vec, q, mu)
-        step, dec2 = _newton_step(g, H)
+        f, g, H, g_mu = objective.derivatives(rows, q, mu)
+        evals[rows] += 1
+        fixed = objective.fixed[rows]
+        step, dec2 = _newton_step(g, H, fixed)
         passed = dec2 <= np.maximum(_DECREMENT * mu, _ROUNDOFF * np.abs(f))
         stage[rows[passed]] += 1
         go = (stage[rows] < mus.size) & (iters[rows] < max_iter)
@@ -684,19 +796,18 @@ def _trace_norm_newton(mats, max_iter: int) -> list:
         # passed steps by (mu' - mu) dq/dmu towards the next weight mu'
         jump = go & passed
         if jump.any():
-            step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * _newton_step(g_mu[jump], H[jump])[0]
+            tangent = _newton_step(g_mu[jump], H[jump], fixed[jump])[0]
+            step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * tangent
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.minimum(1.0, _BOUNDARY * np.where(step < 0, -q / step, np.inf).min(axis=1))
         Q[rows[jump]] = q[jump] + t[jump, None] * step[jump]
-        # Armijo backtracking on the others; each round decomposes the trial
+        # Armijo backtracking on the others; each round evaluates the trial
         # points of the rows still searching
         slope = _ARMIJO * np.einsum("ri,ri->r", g, step)
         searching = np.flatnonzero(go & ~passed)
         while searching.size:
             trial = q[searching] + t[searching, None] * step[searching]
-            A = mats[rows[searching]]
-            A[:, idx, idx] -= trial
-            ft = _barrier_value(np.linalg.eigvalsh(A), trial, mu[searching])
+            ft = objective.values(rows[searching], trial, mu[searching])
             evals[rows[searching]] += 1
             ok = ft <= f[searching] + t[searching] * slope[searching]
             Q[rows[searching[ok]]] = trial[ok]
@@ -708,22 +819,20 @@ def _trace_norm_newton(mats, max_iter: int) -> list:
         rows = rows[go & ~stuck[rows]]
     Q /= Q.sum(axis=1, keepdims=True)
     pool = np.stack([Q, np.full((N, d), 1.0 / d), _dephased(mats)], axis=1)
-    A = np.repeat(mats, 3, axis=0)
-    A[:, idx, idx] -= pool.reshape(-1, d)
-    vals = np.sum(np.abs(np.linalg.eigvalsh(A)), axis=1).reshape(N, 3)
+    vals = objective.exact(np.repeat(np.arange(N), 3), pool.reshape(-1, d)).reshape(N, 3)
     best = np.argmin(vals, axis=1)
     converged = stage == mus.size
     return [
-        SimplexResult(float(v[b]), qs[b].copy(), bool(c), int(it), int(ev) + 3)
+        SimplexResult(float(v[b]), qs[b].copy(), bool(c), int(it), int(ev) + 3, "newton")
         for v, b, qs, c, it, ev in zip(vals, best, pool, converged, iters, evals)
     ]
 
 
 def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     """Multi-start mirror descent over a stack of states, the path for
-    distances without a closed form other than the trace norm, and the
-    tests' oracle for the closed forms and the trace norm's Newton solver;
-    one SimplexResult per state (one matrix counts as a stack of one).
+    distances without a closed form or a Newton objective, and the tests'
+    oracle for the closed forms and the Newton solver; one SimplexResult per
+    state (one matrix counts as a stack of one).
 
     Non-smooth distances run through their annealed smoothing schedule
     with warm starts. The final selection always re-includes each state's
@@ -760,7 +869,9 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
         q_best, v_best, ev = pool[n, best[n]].copy(), float(vals[n, best[n]]), 0
         if cfg.polish and distance.needs_polish:
             q_best, v_best, ev = _slsqp_polish(objectives[0.0], n, q_best, v_best)
-        results.append(SimplexResult(v_best, q_best, bool(converged[n]), int(total_it[n]), int(total_ev[n]) + ev))
+        results.append(
+            SimplexResult(v_best, q_best, bool(converged[n]), int(total_it[n]), int(total_ev[n]) + ev, "mirror_descent")
+        )
     return results
 
 
@@ -866,14 +977,15 @@ def _grid_eval(m: np.ndarray, distance: Distance, Q: np.ndarray) -> np.ndarray:
     if isinstance(distance, SandwichedAlphaDivergence):
         a = distance.alpha
         out = np.full(Q.shape[0], np.inf)
-        # boundary points violate the support condition outright
-        interior = (Q > 0).all(axis=1)
+        # a zero of q on a row of rho that does not vanish violates the
+        # support condition; elsewhere sigma's power is taken on its support
+        inside = ~np.any((Q == 0) & np.any(m != 0, axis=1), axis=1)
         with np.errstate(divide="ignore", over="ignore"):
-            w = Q[interior] ** ((1.0 - a) / (2.0 * a))
+            w = np.where(Q[inside] > 0, Q[inside] ** ((1.0 - a) / (2.0 * a)), 0.0)
             M = m[None, :, :] * (w[:, :, None] * w[:, None, :])
             lam = np.clip(np.linalg.eigvalsh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0), 0.0, None)
             t = np.sum(lam**a, axis=1)
-            out[interior] = np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
+            out[inside] = np.where(t > 0, np.log2(np.maximum(t, 1e-300)), np.inf) / (a - 1.0)
         return out
     # fall back to the generic two-state evaluator
     return np.array([distance.between(m, np.diag(q).astype(complex)) for q in Q])

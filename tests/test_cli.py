@@ -95,8 +95,9 @@ class TestQuantify:
         check_golden("quantify_binary.json", proc.stdout)
 
     def test_full_rank_d4_golden(self, tmp_path):
-        # at d = 4 the trace norm, the fidelity and the sandwiched order 2
-        # come from mirror descent, which no qubit golden reaches
+        # a dense d = 4 state takes the trace norm's Newton homotopy and the
+        # fidelity's mirror descent, which no qubit golden reaches: every
+        # qubit takes their closed forms
         path = tmp_path / "d4.json"
         assert run_cli("random", "--dim", "4", "--rank", "4", "--seed", "7", "--out", str(path)).returncode == 0
         proc = run_cli("quantify", "--state", str(path))

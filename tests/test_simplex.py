@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohpure.linalg import DomainError, haar_unitary, stream
+from cohpure.coherence import c_alpha_result, mcms
+from cohpure.linalg import DomainError, haar_unitary, sandwiched_renyi, stream
 from cohpure.simplex import (
     _EXP_CLIP,
     _MIN_STEP,
@@ -27,7 +28,7 @@ from cohpure.simplex import (
     _grid_points,
     _mirror_descent,
     _starts,
-    _trace_norm_newton,
+    _simplex_newton,
     get_distance,
     grid_minimize,
     minimize_diag,
@@ -670,8 +671,8 @@ def test_trace_norm_newton_properties(mats):
     dist = SchattenDistance(1.0)
     max_iter = SimplexOptConfig().max_iter
     d = mats.shape[-1]
-    for m, res in zip(mats, _trace_norm_newton(mats, max_iter), strict=True):
-        solo = _trace_norm_newton(m[None], max_iter)[0]
+    for m, res in zip(mats, _simplex_newton(dist.newton_objective(mats), max_iter), strict=True):
+        solo = _simplex_newton(dist.newton_objective(m[None]), max_iter)[0]
         assert res.value == solo.value and np.array_equal(res.q, solo.q)
         assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
         assert res.converged and math.isfinite(res.value)
@@ -717,3 +718,122 @@ def test_barrier_derivatives_match_finite_differences(spec, haar, mu):
     for got, want in ((g, fd_g), (H, fd_H), (g_mu, fd_g_mu)):
         assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, float(np.max(np.abs(want))))
     assert np.allclose(H, H.T, rtol=0.0, atol=1e-9 * float(np.max(np.abs(H))))
+
+
+def test_result_names_its_method():
+    rng = stream(64)
+    rho = random_density(3, 3, rng).mat
+    assert minimize_diag(rho, SandwichedAlphaDivergence(2.0)).method == "newton"
+    assert minimize_diag(rho, SandwichedAlphaDivergence(3.0), SimplexOptConfig(restarts=2)).method == "mirror_descent"
+    assert minimize_diag(rho, "trace_norm").method == "newton"
+    assert minimize_diag(random_density(2, 2, rng).mat, "trace_norm").method == "closed_form"
+    assert [c_alpha_result(rho, a).method for a in (0.5, 1.0, 2.0)] == ["closed_form", "closed_form", "newton"]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_sandwiched_objective_on_a_face_of_the_simplex(alpha):
+    # q_i = 0 where rho's row i vanishes is inside the support condition:
+    # the value is taken on the support, as the two-state evaluator takes it
+    rho = np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0]).astype(complex) / 2.0
+    evaluate = SandwichedAlphaDivergence(alpha).diag_objective(rho)
+    Q = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        V, G = evaluate(Q)
+    assert abs(V[0] - 1.0) <= 1e-12
+    assert abs(V[0] - sandwiched_renyi(rho, np.diag([0.5, 0.5, 0.0]), alpha)) <= 1e-12
+    # q_i = 0 on a row of rho that does not vanish violates it
+    assert V[1] == V[2] == math.inf
+    assert np.all(np.isfinite(G))
+    # the grid oracle reads the face the same way, and finds the optimum on it
+    assert np.allclose(_grid_eval(rho, SandwichedAlphaDivergence(alpha), Q), V, rtol=0.0, atol=1e-12)
+    value, q = grid_minimize(rho, SandwichedAlphaDivergence(alpha), resolution=1e-2)
+    assert abs(value - 1.0) <= 1e-12 and q[2] == 0.0
+
+
+@pytest.mark.parametrize("zero_row", [False, True], ids=["full_support", "zero_row"])
+def test_renyi_two_derivatives_match_finite_differences(zero_row):
+    # T(q) = sum_ij |rho_ij|^2 (q_i q_j)^(-1/2); an index whose row of rho
+    # vanishes is fixed at q_i = 0, with a zero gradient, row and column
+    d = 5
+    rng = stream(63)
+    rho = random_density(d, 3, rng).mat
+    q = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
+    if zero_row:
+        rho[1, :] = rho[:, 1] = 0.0
+        rho /= np.trace(rho).real
+        q[1] = 0.0
+    q /= q.sum()
+    form = SandwichedAlphaDivergence(2.0).newton_objective(rho[None])
+    free = np.flatnonzero(~form.fixed[0])
+    assert free.size == d - zero_row
+
+    def derivatives(x):
+        return form.derivatives(np.zeros(1, dtype=int), x[None], np.zeros(1))
+
+    T, g, H, _ = (a if a is None else a[0] for a in derivatives(q))
+    assert abs(math.log2(T) - SandwichedAlphaDivergence(2.0).diag_objective(rho)(q[None])[0][0]) <= 1e-13
+    assert T == form.values(np.zeros(1, dtype=int), q[None], np.zeros(1))[0]
+    h = 1e-6
+    for i in free:
+        e = np.zeros(d)
+        e[i] = h
+        fd_g = (form.values(np.zeros(1, dtype=int), (q + e)[None], np.zeros(1))[0]
+                - form.values(np.zeros(1, dtype=int), (q - e)[None], np.zeros(1))[0]) / (2 * h)
+        fd_H = (derivatives(q + e)[1][0] - derivatives(q - e)[1][0]) / (2 * h)
+        assert abs(g[i] - fd_g) <= 1e-6 * max(1.0, abs(fd_g))
+        assert np.max(np.abs(H[:, i] - fd_H)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd_H))))
+    fixed = np.flatnonzero(form.fixed[0])
+    assert not g[fixed].any() and not H[fixed].any() and not H[:, fixed].any()
+    assert np.allclose(H, H.T, rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def renyi_two_stacks(draw):
+    """One to four states of one dimension d = 1..8 for sandwiched order 2's
+    Newton solver: full rank, rank-deficient, zero-diagonal (a state on a
+    subset of the indices), diagonal with zero entries, and MCMS."""
+    d = draw(st.integers(1, 8))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["full", "deficient", "zero_diagonal", "diagonal", "mcms"]
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        rank = d if kind == "full" else int(rng.integers(1, d + 1))
+        if kind == "zero_diagonal" and d >= 2:
+            k = int(rng.integers(1, d))
+            support = np.sort(rng.permutation(d)[:k])
+            m = np.zeros((d, d), dtype=complex)
+            m[np.ix_(support, support)] = random_density(k, int(rng.integers(1, k + 1)), rng).mat
+        elif kind == "diagonal":
+            p = rng.dirichlet(np.ones(d))
+            p[rng.permutation(d)[: int(rng.integers(0, d))]] = 0.0
+            m = np.diag(p / p.sum()).astype(complex)
+        elif kind == "mcms":
+            m = mcms(rng.dirichlet(np.ones(rank)), d).mat
+        else:
+            m = random_density(d, rank, rng).mat
+        mats.append(m)
+    return np.stack(mats)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mats=renyi_two_stacks())
+def test_renyi_two_newton_properties(mats):
+    dist = SandwichedAlphaDivergence(2.0)
+    d = mats.shape[-1]
+    for m, res in zip(mats, minimize_diags(mats, dist), strict=True):
+        solo = minimize_diag(m, dist)
+        assert res.value == solo.value and np.array_equal(res.q, solo.q)
+        assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
+        assert res.method == "newton" and res.converged and math.isfinite(res.value)
+        assert np.all(res.q >= 0) and abs(res.q.sum() - 1.0) <= 1e-12
+        assert abs(res.value - _mirror_descent(m, dist, SimplexOptConfig())[0].value) <= 1e-12
+        # C_rel <= C_2 <= min(D~_2(rho, Delta rho), D_2(rho, 1/d))
+        lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        c_rel = RelEntropyDistance().closed_forms(m)[0][0]
+        ceiling = min(sandwiched_renyi(m, np.diag(_dephased(m)), 2.0), math.log2(d) + math.log2(float(np.sum(lam**2))))
+        assert c_rel - 1e-12 <= res.value <= ceiling + 1e-12
+        if abs(float(np.sum(lam**2)) - 1.0) <= 1e-12:
+            # pure: min_q (sum_i |psi_i|^2 q_i^(-1/2))^2 sits at q_i ~ |psi_i|^(4/3)
+            p = np.real(np.diagonal(m))
+            assert abs(res.value - 3.0 * math.log2(float(np.sum(np.clip(p, 0.0, None) ** (2.0 / 3.0))))) <= 1e-12

@@ -10,18 +10,20 @@ one evaluation of the whole stack. The other states of the trace norm and
 of sandwiched order 2 run one damped Newton method on the simplex together
 (:func:`_simplex_newton`): the trace norm through a log-barrier homotopy on
 the pencil rho - diag q, order 2 on its quadratic form in q^(-1/2) in one
-stage. Both objectives are convex, so a single start suffices. The states of
-every other distance run one exponentiated-gradient mirror descent together,
-with multiple starts each (Dirichlet draws plus the dephased state and the
-uniform point), per-row step halving on non-improvement, and monotone
-acceptance. Either way the returned value never exceeds the objective at
-the uniform or the dephased point, which downstream code relies on for
-certified upper bounds. Rows never interact, so each state's result is bit
-for bit that of a run on its own, and names its method. Mirror descent,
-with the trace norm's smoothing schedule and SLSQP polish, also serves the
-tests as the oracle for the closed forms and the Newton solver, and a dense
-grid search over the simplex as the independent verification oracle at
-small dimension.
+stage. Both objectives are convex, so a single start suffices; each
+computes its own values, and the Newton path reads no config. The states
+of every other distance run one exponentiated-gradient mirror descent
+together, with multiple starts each (Dirichlet draws plus the dephased
+state and the uniform point), per-row step halving on non-improvement, and
+monotone acceptance. Either way the returned value never exceeds the
+objective at the uniform or the dephased point, which downstream code
+relies on for certified upper bounds. Rows never interact, so each state's
+result is bit for bit that of a run on its own, and names its method. The
+distances' ``diag_objective`` evaluators serve mirror descent and the
+tests, where mirror descent, with the trace norm's smoothing schedule and
+SLSQP polish, is the oracle for the closed forms and the Newton solver,
+and a dense grid search over the simplex the independent verification
+oracle at small dimension.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ _DECREMENT = 1e-3
 _ROUNDOFF = 16 * np.finfo(float).eps
 _BOUNDARY = 0.99
 _ARMIJO = 0.25
+# cap on Newton steps per state, far above need: no state of the tests or
+# of the benchmark's workloads takes more than 46
+_NEWTON_STEPS = 200
 
 
 class Distance:
@@ -113,8 +118,10 @@ class Distance:
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
-        """Return the closure ``evaluate(Q, s=None, below=None) -> (V, G)``
-        over batches Q of shape (R, d), rows on the simplex, and their state
+        """Mirror descent's evaluator, also read by the relative entropy's
+        closed form and by the tests as the oracle for the Newton objectives:
+        the closure ``evaluate(Q, s=None, below=None) -> (V, G)`` over
+        batches Q of shape (R, d), rows on the simplex, and their state
         indices s of shape (R,) into the (N, d, d) stack ``mats`` (one
         matrix counts as a stack of one; s defaults to state 0 for every
         row): the objective V of each row and its gradient G in q, both
@@ -397,7 +404,7 @@ class SandwichedAlphaDivergence(Distance):
         return _renyi_to_mixed(values, self.alpha)
 
     def newton_objective(self, mats):
-        return _RenyiTwoForm(mats, self.diag_objective(mats)) if self.alpha == 2.0 else None
+        return _RenyiTwoForm(mats) if self.alpha == 2.0 else None
 
     def diag_objective(self, mats, mu: float = 0.0):
         a = self.alpha
@@ -408,22 +415,11 @@ class SandwichedAlphaDivergence(Distance):
         # violates the support condition, and elsewhere sigma^beta is taken
         # on sigma's support, where it is rho's
         live = np.any(m != 0, axis=2)
-        # Tr M^2 = sum_ij |rho_ij|^2 w_i w_j with w = q^(-1/2): a quadratic
-        # form, no eigendecomposition
-        A = np.abs(m) ** 2 if a == 2.0 else None
 
         def evaluate(Q, s=None, below=None):
             s = _rows(Q, s)
             outside = np.any((Q == 0) & live[s], axis=1)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                if A is not None:
-                    w = np.where(Q > 0, 1.0 / np.sqrt(Q), 0.0)
-                    Aw = np.einsum("rij,rj->ri", A[s], w)
-                    t = np.einsum("ri,ri->r", w, Aw)
-                    # dT/dq_i = 2 a beta (M^2)_ii / q_i with 2 a beta = -1
-                    G = -w * Aw / Q / (LN2 * np.maximum(t, 1e-300))[:, None]
-                    V = np.where(outside, np.inf, _renyi_value(t, a))
-                    return V, np.nan_to_num(G, nan=0.0, posinf=0.0, neginf=0.0)
                 w = np.where(Q > 0, Q**beta, 0.0)
                 M = m[s] * (w[:, :, None] * w[:, None, :])
                 lam, vec = np.linalg.eigh((M + np.conj(np.swapaxes(M, 1, 2))) / 2.0)
@@ -468,14 +464,12 @@ def get_distance(spec) -> Distance:
 
 @dataclass(frozen=True)
 class SimplexOptConfig:
-    """Optimizer settings. ``restarts`` counts the Dirichlet starts that
-    mirror descent adds on top of the always-included dephased and uniform
-    points; ``polish`` enables the SLSQP finish for distances that need it
-    (the fidelity, whose pure-state optima sit on simplex vertices). The
-    Newton solver of the trace norm and of sandwiched order 2 is convex and
-    starts once, so it reads only ``max_iter``, as its cap on steps per
-    state, and ignores ``restarts``, ``seed`` and ``polish``, as the closed
-    forms do."""
+    """Mirror descent's settings; only mirror descent reads them. The closed
+    forms and the Newton solver of the trace norm and of sandwiched order 2
+    ignore them. ``restarts`` counts the Dirichlet starts that mirror
+    descent adds on top of the always-included dephased and uniform points;
+    ``polish`` enables the SLSQP finish for distances that need it (the
+    fidelity, whose pure-state optima sit on simplex vertices)."""
 
     restarts: int = 20
     max_iter: int = 5000
@@ -609,11 +603,10 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     ]
     rest = [n for n, res in enumerate(results) if res is None]
     if rest:
-        cfg = cfg or SimplexOptConfig()
         if (objective := distance.newton_objective(mats[rest])) is not None:
-            solved = _simplex_newton(objective, cfg.max_iter)
+            solved = _simplex_newton(objective)
         else:
-            solved = _mirror_descent(mats[rest], distance, cfg)
+            solved = _mirror_descent(mats[rest], distance, cfg or SimplexOptConfig())
         for n, res in zip(rest, solved):
             results[n] = res
     return [_reported(res) for res in results]
@@ -722,17 +715,19 @@ class _RenyiTwoForm:
     grows without bound towards every face q_i = 0 with rho_ii > 0, so one
     stage with no barrier suffices, from (dephased + uniform on the
     support) / 2; an index whose row of A vanishes stays at q_i = 0. The
-    exact value is the divergence's own objective, log2 T."""
+    exact value is log2 T, and +inf where q_i = 0 on a row of rho that is not
+    exactly zero: the support rule of the sandwiched divergences, as
+    ``diag_objective`` and ``_grid_eval`` read it."""
 
     schedule = (0.0,)
 
-    def __init__(self, mats, evaluate):
+    def __init__(self, mats):
         self.mats = mats
         self.A = np.abs(mats) ** 2
         self.fixed = ~self.A.any(axis=2)
+        self.live = np.any(mats != 0, axis=2)
         free = ~self.fixed
         self.start = (_dephased(mats) + free / free.sum(axis=1, keepdims=True)) / 2.0
-        self._evaluate = evaluate
 
     def _form(self, s, Q):
         with np.errstate(divide="ignore"):
@@ -753,26 +748,28 @@ class _RenyiTwoForm:
         return self._form(s, Q)[3]
 
     def exact(self, s, Q):
-        return self._evaluate(Q, s)[0]
+        outside = np.any((Q == 0) & self.live[s], axis=1)
+        return np.where(outside, np.inf, _renyi_value(self._form(s, Q)[3], 2.0))
 
 
-def _simplex_newton(objective, max_iter: int) -> list:
+def _simplex_newton(objective) -> list:
     """min_q f(q) over the simplex for a stack of states by damped Newton
     steps on a convex objective (:class:`_TraceNormBarrier`,
     :class:`_RenyiTwoForm`). The objective supplies the stack ``mats``, the
     ``start``, the stage ``schedule`` of barrier weights mu, the indices
     ``fixed`` at q_i = 0, f_mu with its gradient, Hessian and the gradient's
     derivative in mu (``derivatives``), f_mu alone (``values``) and the
-    exact value (``exact``). For each weight in turn, a stage ends when
-    the squared Newton decrement falls below ``_DECREMENT * mu``, or below
-    what the round-off of f_mu can resolve; the next stage starts from the
-    point a tangent step along the central path predicts for its weight.
-    Each state takes at most ``max_iter`` steps, and stops unconverged when
-    a line search finds no decrease. The objective is convex, so one start
-    suffices. The value is the objective's exact value at the best of the
-    Newton point, the uniform point and the dephased point, so it never
-    exceeds D(rho, 1/d) or D(rho, Delta rho). Rows never interact: each
-    state gets the result of a run on its own."""
+    exact value (``exact``), all computed by the objective itself. For each
+    weight in turn, a stage ends when the squared Newton decrement falls
+    below ``_DECREMENT * mu``, or below what the round-off of f_mu can
+    resolve; the next stage starts from the point a tangent step along the
+    central path predicts for its weight. Each state takes at most
+    ``_NEWTON_STEPS`` steps, and stops unconverged there or when a line
+    search finds no decrease; no config field reaches this loop. The
+    objective is convex, so one start suffices. The value is the objective's
+    exact value at the best of the Newton point, the uniform point and the
+    dephased point, so it never exceeds D(rho, 1/d) or D(rho, Delta rho).
+    Rows never interact: each state gets the result of a run on its own."""
     mats = objective.mats
     N, d = mats.shape[0], mats.shape[-1]
     mus = np.array(objective.schedule)
@@ -791,7 +788,7 @@ def _simplex_newton(objective, max_iter: int) -> list:
         step, dec2 = _newton_step(g, H, fixed)
         passed = dec2 <= np.maximum(_DECREMENT * mu, _ROUNDOFF * np.abs(f))
         stage[rows[passed]] += 1
-        go = (stage[rows] < mus.size) & (iters[rows] < max_iter)
+        go = (stage[rows] < mus.size) & (iters[rows] < _NEWTON_STEPS)
         # the centre q(mu) has H dq/dmu = -dg/dmu on the simplex: a row that
         # passed steps by (mu' - mu) dq/dmu towards the next weight mu'
         jump = go & passed

@@ -17,7 +17,7 @@ import pytest
 
 from cohpure import cli as climod
 from cohpure import io
-from cohpure.simplex import MENU, SandwichedAlphaDivergence, SimplexResult
+from cohpure.simplex import MENU, SandwichedAlphaDivergence, SimplexResult, _RenyiTwoForm
 from cohpure.linalg import stream
 from cohpure.states import diagonal, maximally_mixed, pure, random_density
 
@@ -171,15 +171,21 @@ class TestQuantify:
         block = json.loads(capsys.readouterr().out)["coherence"]["c_alpha"]["1e+308"]
         assert abs(block["value"]) <= 1e-12 and block["converged"] is True
 
-    def test_non_finite_value_is_flagged(self, state_files, capsys, monkeypatch):
-        def infinite(self, mats, mu=0.0):
-            return lambda Q, s=None, below=None: (np.full(Q.shape[0], np.inf), np.zeros_like(Q))
+    @pytest.mark.parametrize("alpha", ["2", "3"], ids=["newton", "mirror_descent"])
+    def test_non_finite_value_is_flagged(self, state_files, capsys, monkeypatch, alpha):
+        # order 2 takes its values from its Newton objective, order 3 from
+        # the evaluator of mirror descent
+        if alpha == "2":
+            monkeypatch.setattr(_RenyiTwoForm, "exact", lambda self, s, Q: np.full(Q.shape[0], np.inf))
+        else:
+            def infinite(self, mats, mu=0.0):
+                return lambda Q, s=None, below=None: (np.full(Q.shape[0], np.inf), np.zeros_like(Q))
 
-        monkeypatch.setattr(SandwichedAlphaDivergence, "diag_objective", infinite)
-        code = climod.main(["quantify", "--state", str(state_files / "binary.json"), "--alpha", "2"])
+            monkeypatch.setattr(SandwichedAlphaDivergence, "diag_objective", infinite)
+        code = climod.main(["quantify", "--state", str(state_files / "binary.json"), "--alpha", alpha])
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
-        block = doc["coherence"]["c_alpha"]["2"]
+        block = doc["coherence"]["c_alpha"][alpha]
         assert not math.isfinite(block["value"]) and block["converged"] is False
         assert doc["optimizer_flagged"] is True
 

@@ -12,7 +12,6 @@ from cohpure.simplex import (
     _EXP_CLIP,
     _MIN_STEP,
     _STEP0,
-    LN2,
     MENU,
     OneMinusFidelityDistance,
     PetzAlphaDivergence,
@@ -489,8 +488,8 @@ STACK_DISTANCES = [get_distance(name) for name in MENU] + [
 
 @pytest.mark.parametrize(
     "cfg",
-    # the short run stops some trace-norm and fidelity states at max_iter
-    # and not others
+    # the short run stops some fidelity states at max_iter and not others;
+    # the Newton solver of the trace norm and of order 2 reads no config
     [
         SimplexOptConfig(restarts=2, max_iter=600, polish=False),
         SimplexOptConfig(),
@@ -598,18 +597,20 @@ def test_fidelity_gradient_only_below():
 
 
 def test_renyi2_quadratic_form_matches_eigendecomposition():
+    # the Newton objective's log2 T and dT/dq against the eigenvalues of
+    # M = sigma^beta rho sigma^beta: T = Tr M^2, dT/dq_i = 2 a beta (M^2)_ii / q_i
     a, beta = 2.0, -0.25
     rng = stream(60)
     for d in (1, 2, 3, 5, 6):
         rho = random_density(d, int(rng.integers(1, d + 1)), rng).mat
         Q = rng.dirichlet(np.ones(d), size=8)
-        V, g = SandwichedAlphaDivergence(a).diag_objective(rho)(Q)
+        form, s = SandwichedAlphaDivergence(a).newton_objective(rho[None]), np.zeros(8, dtype=int)
+        V, g = form.exact(s, Q), form.derivatives(s, Q, np.zeros(8))[1]
         w = Q**beta
         lam, vec = np.linalg.eigh(rho[None, :, :] * (w[:, :, None] * w[:, None, :]))
         la = np.clip(lam, 0.0, None) ** a
-        t = la.sum(axis=1)
-        ref_v = np.log2(t) / (a - 1.0)
-        ref_g = 2 * a * beta * np.einsum("rik,rk->ri", np.abs(vec) ** 2, la) / Q / ((a - 1.0) * LN2 * t)[:, None]
+        ref_v = np.log2(la.sum(axis=1)) / (a - 1.0)
+        ref_g = 2 * a * beta * np.einsum("rik,rk->ri", np.abs(vec) ** 2, la) / Q
         assert np.max(np.abs(V - ref_v)) <= 1e-13
         assert np.max(np.abs(g - ref_g)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref_g))))
         assert np.max(np.abs(V - _grid_eval(rho, SandwichedAlphaDivergence(a), Q))) <= 1e-13
@@ -669,10 +670,9 @@ def trace_norm_stacks(draw):
 @given(mats=trace_norm_stacks())
 def test_trace_norm_newton_properties(mats):
     dist = SchattenDistance(1.0)
-    max_iter = SimplexOptConfig().max_iter
     d = mats.shape[-1]
-    for m, res in zip(mats, _simplex_newton(dist.newton_objective(mats), max_iter), strict=True):
-        solo = _simplex_newton(dist.newton_objective(m[None]), max_iter)[0]
+    for m, res in zip(mats, _simplex_newton(dist.newton_objective(mats)), strict=True):
+        solo = _simplex_newton(dist.newton_objective(m[None]))[0]
         assert res.value == solo.value and np.array_equal(res.q, solo.q)
         assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
         assert res.converged and math.isfinite(res.value)
@@ -680,6 +680,22 @@ def test_trace_norm_newton_properties(mats):
         assert res.value <= dist.between(m, np.eye(d) / d) + 1e-12
         assert res.value <= dist.between(m, np.diag(_dephased(m))) + 1e-12
         assert res.value <= _mirror_descent(m, dist, SimplexOptConfig())[0].value + 1e-10
+
+
+@pytest.mark.parametrize("dist", [SchattenDistance(1.0), SandwichedAlphaDivergence(2.0)], ids=lambda d: d.name)
+def test_newton_step_cap(dist, monkeypatch):
+    # at a cap of one step no state converges, and each still returns the
+    # best of its pool, as a run on its own does
+    monkeypatch.setattr("cohpure.simplex._NEWTON_STEPS", 1)
+    rng = stream(66)
+    mats = np.stack([random_density(4, rank, rng).mat for rank in (4, 3, 2, 1, 4)])
+    for m, res in zip(mats, minimize_diags(mats, dist), strict=True):
+        solo = minimize_diag(m, dist)
+        assert res.value == solo.value and np.array_equal(res.q, solo.q)
+        assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
+        assert res.method == "newton" and not res.converged and math.isfinite(res.value)
+        corners = np.stack([np.full(4, 0.25), _dephased(m)])
+        assert res.value <= dist.newton_objective(m[None]).exact(np.zeros(2, dtype=int), corners).min()
 
 
 @pytest.mark.parametrize("mu", [1e-2, 1e-6])
@@ -745,6 +761,12 @@ def test_sandwiched_objective_on_a_face_of_the_simplex(alpha):
     # q_i = 0 on a row of rho that does not vanish violates it
     assert V[1] == V[2] == math.inf
     assert np.all(np.isfinite(G))
+    if alpha == 2.0:
+        # order 2's Newton objective takes its own values by the same rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exact = SandwichedAlphaDivergence(alpha).newton_objective(rho[None]).exact(np.zeros(3, dtype=int), Q)
+        assert abs(exact[0] - 1.0) <= 1e-12 and exact[1] == exact[2] == math.inf
     # the grid oracle reads the face the same way, and finds the optimum on it
     assert np.allclose(_grid_eval(rho, SandwichedAlphaDivergence(alpha), Q), V, rtol=0.0, atol=1e-12)
     value, q = grid_minimize(rho, SandwichedAlphaDivergence(alpha), resolution=1e-2)

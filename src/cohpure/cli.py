@@ -1,6 +1,7 @@
 """Command-line surface: state I/O, quantifier reports, conversion and
 single-shot purity queries, hierarchy checks, verification suites, and
-Bloch-ball data export.
+Bloch-ball data export. ``quantify --format csv`` writes the rows of the
+JSON report it has built, so each report field is listed once.
 
 Exit codes: 0 success, 2 input error, 3 optimizer non-convergence
 (values still emitted, flagged), 4 asserted invariant violated.
@@ -23,7 +24,7 @@ from .coherence import c_alpha_result, c_distance_result, c_l1, c_rel_entropy
 from .correlations import Budget
 from .linalg import DomainError, ValidationError, stream
 from .simplex import MENU, SimplexOptConfig
-from .states import DensityMatrix, from_bloch, random_density
+from .states import from_bloch, random_density
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,17 +33,19 @@ EXIT_INVARIANT = 4
 
 REPORT_SCHEMA = "cohpure-report-1"
 
-BLOCH_QUANTIFIERS = (
-    "c_l1",
-    "c_rel_entropy",
-    "c_trace_norm",
-    "c_geometric",
-    "p_rel_entropy",
-    "p_trace_norm",
-    "p_geometric",
-    "p_linear",
-    "p_2",
-)
+# every Bloch state is a qubit, where the trace norm and the fidelity take
+# their block closed forms: no simplex optimizer runs
+BLOCH_QUANTIFIERS = {
+    "c_l1": c_l1,
+    "c_rel_entropy": c_rel_entropy,
+    "c_trace_norm": lambda rho: coherence.c_distance(rho, "trace_norm"),
+    "c_geometric": coherence.c_geometric,
+    "p_rel_entropy": purity.p_rel_entropy,
+    "p_trace_norm": lambda rho: purity.p_distance(rho, "trace_norm"),
+    "p_geometric": purity.p_geometric,
+    "p_linear": purity.p_linear,
+    "p_2": purity.p_2,
+}
 
 
 def main(argv=None) -> int:
@@ -82,13 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", required=True)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("distill", help="single-shot distillable purity")
-    p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("cost", help="single-shot purity cost")
-    p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_cost)
+    for name, what, key, count, certify in (
+        ("distill", "distillable purity", "distillable_1shot", majorization.distillable_purity_1shot,
+         majorization.brute_force_distill),
+        ("cost", "purity cost", "cost_1shot", majorization.purity_cost_1shot, majorization.brute_force_cost),
+    ):
+        p = sub.add_parser(name, help=f"single-shot {what}")
+        p.add_argument("--state", required=True)
+        p.set_defaults(func=functools.partial(cmd_single_shot, key, count, certify))
 
     p = sub.add_parser("hierarchy", help="purity >= coherence >= discord chain for a bipartite state")
     p.add_argument("--state", required=True)
@@ -133,26 +137,16 @@ def _print_json(doc) -> None:
 
 def cmd_quantify(args) -> int:
     sf, rho = _load_state(args.state)
-    distances = args.distance or list(MENU)
     alphas = _parse_floats(args.alpha)
-    opt = SimplexOptConfig()
-    flagged = False
-
     prep = purity.purity_report(rho)
     cohs = {"c_rel_entropy": c_rel_entropy(rho), "c_l1": c_l1(rho)}
-    dist_block = {}
-    for name in distances:
-        res = c_distance_result(rho, name, opt)
-        flagged = flagged or not res.converged
-        dist_block[name] = {"value": res.value, "converged": res.converged}
+    dist_block = {name: _result_doc(c_distance_result(rho, name)) for name in args.distance or MENU}
     alpha_block = {}
     for a in alphas:
         if not (a > 0) or a == math.inf:
             raise DomainError(f"coherence order must be finite and positive, got {a}")
-        res = c_alpha_result(rho, a, opt)
-        flagged = flagged or not res.converged
-        alpha_block[_fmt_alpha(a)] = {"value": res.value, "converged": res.converged}
-
+        alpha_block[_fmt_alpha(a)] = _result_doc(c_alpha_result(rho, a))
+    flagged = not all(block["converged"] for block in (*dist_block.values(), *alpha_block.values()))
     doc = {
         "schema_version": REPORT_SCHEMA,
         "state": sf.label or args.state,
@@ -172,19 +166,26 @@ def cmd_quantify(args) -> int:
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["quantity", "value"])
-        for a, v in prep.p_alpha.items():
-            writer.writerow([f"p_alpha[{_fmt_alpha(a)}]", repr(v)])
-        writer.writerow(["p_geometric", repr(prep.p_geometric)])
-        writer.writerow(["p_linear", repr(prep.p_linear)])
-        writer.writerow(["distillable_1shot", prep.distillable_1shot])
-        writer.writerow(["cost_1shot", prep.cost_1shot])
-        for k, v in cohs.items():
-            writer.writerow([k, repr(v)])
-        for name, block in dist_block.items():
-            writer.writerow([f"c_distance[{name}]", repr(block["value"])])
-        for a, block in alpha_block.items():
-            writer.writerow([f"c_alpha[{a}]", repr(block["value"])])
+        writer.writerows(_csv_rows(doc))
     return EXIT_OPTIMIZER if flagged else EXIT_OK
+
+
+def _result_doc(res) -> dict:
+    return {"value": res.value, "converged": res.converged}
+
+
+def _csv_rows(doc):
+    """The ``quantify`` report's (quantity, value) rows in the document's
+    order: an entry of a nested table is named ``table[key]``, a
+    ``{value, converged}`` block gives its value, and values are written
+    with ``repr``."""
+    for section in (doc["purity"], doc["coherence"]):
+        for key, value in section.items():
+            if not isinstance(value, dict):
+                yield [key, repr(value)]
+                continue
+            for k, v in value.items():
+                yield [f"{key}[{k}]", repr(v["value"] if isinstance(v, dict) else v)]
 
 
 def cmd_mcms(args) -> int:
@@ -240,31 +241,12 @@ def _certificate_doc(cert) -> dict:
     }
 
 
-def cmd_distill(args) -> int:
+def cmd_single_shot(key, count, certify, args) -> int:
+    """``distill`` and ``cost``: the single-shot count m under ``key``,
+    with the brute-force majorization certificate of m."""
     _, rho = _load_state(args.state)
-    m = majorization.distillable_purity_1shot(rho)
-    cert = majorization.brute_force_distill(rho, m)
-    _print_json(
-        {
-            "schema_version": REPORT_SCHEMA,
-            "distillable_1shot": m,
-            "certificate": _certificate_doc(cert),
-        }
-    )
-    return EXIT_OK
-
-
-def cmd_cost(args) -> int:
-    _, rho = _load_state(args.state)
-    m = majorization.purity_cost_1shot(rho)
-    cert = majorization.brute_force_cost(rho, m)
-    _print_json(
-        {
-            "schema_version": REPORT_SCHEMA,
-            "cost_1shot": m,
-            "certificate": _certificate_doc(cert),
-        }
-    )
+    m = count(rho)
+    _print_json({"schema_version": REPORT_SCHEMA, key: m, "certificate": _certificate_doc(certify(rho, m))})
     return EXIT_OK
 
 
@@ -318,34 +300,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_INVARIANT
 
 
-def _bloch_value(name: str, rho: DensityMatrix) -> float:
-    if name == "c_l1":
-        return c_l1(rho)
-    if name == "c_rel_entropy":
-        return c_rel_entropy(rho)
-    if name == "c_trace_norm":
-        return coherence.c_distance(rho, "trace_norm")
-    if name == "c_geometric":
-        return coherence.c_geometric(rho)
-    if name == "p_rel_entropy":
-        return purity.p_rel_entropy(rho)
-    if name == "p_trace_norm":
-        return purity.p_distance(rho, "trace_norm")
-    if name == "p_geometric":
-        return purity.p_geometric(rho)
-    if name == "p_linear":
-        return purity.p_linear(rho)
-    if name == "p_2":
-        return purity.p_2(rho)
-    raise DomainError(f"unknown quantifier {name!r}")
-
-
 def cmd_bloch(args) -> int:
     if args.grid < 2:
         raise DomainError(f"--grid must be >= 2, got {args.grid}")
     axis = np.linspace(-1.0, 1.0, args.grid)
-    # every Bloch state is a qubit, where the trace norm and the fidelity
-    # take their block closed forms: no simplex optimizer runs
+    quantifier = BLOCH_QUANTIFIERS[args.quantifier]
     buf = io_module.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["x", "y", "z", "value"])
@@ -354,7 +313,7 @@ def cmd_bloch(args) -> int:
             for z in axis:
                 if x * x + y * y + z * z > 1.0 + 1e-12:
                     continue
-                value = _bloch_value(args.quantifier, from_bloch((x, y, z)))
+                value = quantifier(from_bloch((x, y, z)))
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(z)), repr(value)])
     io.atomic_write_text(args.out, buf.getvalue())
     return EXIT_OK

@@ -193,11 +193,7 @@ def mio_channel_from_unitary(u) -> Channel:
     """Maximally incoherent channel with Kraus operators U |n+><n+|; it
     sends every incoherent state to the maximally mixed state and acts on
     an MCMS exactly as conjugation by U."""
-    u = np.asarray(u, dtype=complex)
-    _require_unitary(u)
-    f = fourier_basis(u.shape[0]).columns
-    ks = [u @ np.outer(f[:, n], np.conj(f[:, n])) for n in range(u.shape[0])]
-    return Channel(tuple(ks))
+    return mio_channel_from_mixture([1.0], [u])
 
 
 def mio_channel_from_mixture(weights, unitaries) -> Channel:
@@ -269,9 +265,9 @@ def _basis_proj(d: int, i: int) -> np.ndarray:
     return p
 
 
-def _require_unitary(u: np.ndarray, tol: float = UNITARY_TOL):
+def _require_unitary(u: np.ndarray):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("unitary", message=f"expected square matrix, got {u.shape}")
     dev = float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise ValidationError("unitary", dev)

@@ -86,9 +86,9 @@ def _require_square(m: np.ndarray):
         raise ValidationError("finite", message="matrix contains NaN/Inf entries")
 
 
-def _require_hermitian(m: np.ndarray, tol: float = HERM_TOL):
+def _require_hermitian(m: np.ndarray):
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if dev > tol:
+    if dev > HERM_TOL:
         raise ValidationError("hermiticity", dev)
 
 

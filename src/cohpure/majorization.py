@@ -66,11 +66,11 @@ def _prefix_pairs(p: np.ndarray, q: np.ndarray):
     return np.cumsum(pp), np.cumsum(qq)
 
 
-def majorizes(p, q, slack: float = PREFIX_SLACK) -> bool:
+def majorizes(p, q) -> bool:
     """True iff every descending prefix sum of p dominates that of q
-    (within ``slack``); unequal lengths are zero-padded."""
+    (within ``PREFIX_SLACK``); unequal lengths are zero-padded."""
     cp, cq = _prefix_pairs(_as_distribution(p), _as_distribution(q))
-    return bool(np.all(cp >= cq - slack))
+    return bool(np.all(cp >= cq - PREFIX_SLACK))
 
 
 def convertible_unital(rho: DensityMatrix, sigma: DensityMatrix) -> bool:

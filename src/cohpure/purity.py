@@ -169,53 +169,55 @@ def axiom_suite(
         )
     )
 
-    p2_ok, p2_bad, p2_worst = True, None, 0.0
-    for child in rng.spawn(trials):
+    def unital_increase(child):
         s = random_density(d, int(child.integers(1, d + 1)), child)
         ch = random_unital(d, int(child.integers(1, 6)), child)
-        delta = quantifier(coherence.apply_channel(ch, s)) - quantifier(s)
-        if delta > p2_worst:
-            p2_worst, p2_bad = delta, s
-        if delta > _AXIOM_SLACK:
-            p2_ok = False
-    checks.append(
-        AxiomCheck("P2_unital_monotone", p2_ok, f"max increase = {p2_worst:.3g}", p2_bad)
-    )
+        return quantifier(coherence.apply_channel(ch, s)) - quantifier(s), s
 
-    p3_ok, p3_bad, p3_worst = True, None, 0.0
-    for child in rng.spawn(max(trials // 4, 8)):
+    ok, worst, bad = _worst_gap(rng.spawn(trials), unital_increase)
+    checks.append(AxiomCheck("P2_unital_monotone", ok, f"max increase = {worst:.3g}", bad))
+
+    def additivity_gap(child):
         db = int(child.integers(2, max(3, 16 // d + 1)))
         a = random_density(d, int(child.integers(1, d + 1)), child)
         b = random_density(db, int(child.integers(1, db + 1)), child)
         prod = validate(linalg.kron(a.mat, b.mat))
-        gap = abs(quantifier(prod) - quantifier(a) - quantifier(b))
-        if gap > p3_worst:
-            p3_worst, p3_bad = gap, (a, b)
-        if gap > _AXIOM_SLACK:
-            p3_ok = False
-    checks.append(AxiomCheck("P3_additivity", p3_ok, f"max gap = {p3_worst:.3g}", p3_bad))
+        return abs(quantifier(prod) - quantifier(a) - quantifier(b)), (a, b)
 
-    p4_ok, p4_worst = True, 0.0
-    for child in rng.spawn(max(trials // 4, 8)):
+    ok, worst, bad = _worst_gap(rng.spawn(max(trials // 4, 8)), additivity_gap)
+    checks.append(AxiomCheck("P3_additivity", ok, f"max gap = {worst:.3g}", bad))
+
+    def normalization_gap(child):
         v = child.standard_normal(d) + 1j * child.standard_normal(d)
-        gap = abs(quantifier(states.pure(v)) - math.log2(d))
-        p4_worst = max(p4_worst, gap)
-        if gap > _AXIOM_SLACK:
-            p4_ok = False
-    checks.append(AxiomCheck("P4_normalization", p4_ok, f"max gap = {p4_worst:.3g}"))
+        return abs(quantifier(states.pure(v)) - math.log2(d)), None
+
+    ok, worst, _ = _worst_gap(rng.spawn(max(trials // 4, 8)), normalization_gap)
+    checks.append(AxiomCheck("P4_normalization", ok, f"max gap = {worst:.3g}"))
 
     if convexity:
-        cv_ok, cv_bad, cv_worst = True, None, 0.0
-        for child in rng.spawn(trials):
+
+        def convexity_violation(child):
             a = random_density(d, int(child.integers(1, d + 1)), child)
             b = random_density(d, int(child.integers(1, d + 1)), child)
             t = float(child.random())
             mix = validate(t * a.mat + (1.0 - t) * b.mat)
-            gap = quantifier(mix) - (t * quantifier(a) + (1.0 - t) * quantifier(b))
-            if gap > cv_worst:
-                cv_worst, cv_bad = gap, (a, b, t)
-            if gap > _AXIOM_SLACK:
-                cv_ok = False
-        checks.append(AxiomCheck("convexity", cv_ok, f"max violation = {cv_worst:.3g}", cv_bad))
+            return quantifier(mix) - (t * quantifier(a) + (1.0 - t) * quantifier(b)), (a, b, t)
+
+        ok, worst, bad = _worst_gap(rng.spawn(trials), convexity_violation)
+        checks.append(AxiomCheck("convexity", ok, f"max violation = {worst:.3g}", bad))
 
     return AxiomReport(quantifier=name, dim=d, trials=trials, checks=tuple(checks))
+
+
+def _worst_gap(children, trial) -> tuple:
+    """Run ``trial(child) -> (gap, witness)`` on each child stream in turn:
+    (no gap above the slack, the largest gap from 0, the first witness
+    that attains it)."""
+    ok, worst, bad = True, 0.0, None
+    for child in children:
+        gap, witness = trial(child)
+        if gap > worst:
+            worst, bad = gap, witness
+        if gap > _AXIOM_SLACK:
+            ok = False
+    return ok, worst, bad

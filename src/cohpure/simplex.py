@@ -715,9 +715,10 @@ class _RenyiTwoForm:
     grows without bound towards every face q_i = 0 with rho_ii > 0, so one
     stage with no barrier suffices, from (dephased + uniform on the
     support) / 2; an index whose row of A vanishes stays at q_i = 0. The
-    exact value is log2 T, and +inf where q_i = 0 on a row of rho that is not
-    exactly zero: the support rule of the sandwiched divergences, as
-    ``diag_objective`` and ``_grid_eval`` read it."""
+    exact value is log2 T, and +inf where q_i = 0 off those ``fixed``
+    indices: the support rule of the sandwiched divergences, read off A so
+    that a row of rho whose squares underflow to 0 counts as empty, as the
+    solver treats it."""
 
     schedule = (0.0,)
 
@@ -725,7 +726,6 @@ class _RenyiTwoForm:
         self.mats = mats
         self.A = np.abs(mats) ** 2
         self.fixed = ~self.A.any(axis=2)
-        self.live = np.any(mats != 0, axis=2)
         free = ~self.fixed
         self.start = (_dephased(mats) + free / free.sum(axis=1, keepdims=True)) / 2.0
 
@@ -748,7 +748,7 @@ class _RenyiTwoForm:
         return self._form(s, Q)[3]
 
     def exact(self, s, Q):
-        outside = np.any((Q == 0) & self.live[s], axis=1)
+        outside = np.any((Q == 0) & ~self.fixed[s], axis=1)
         return np.where(outside, np.inf, _renyi_value(self._form(s, Q)[3], 2.0))
 
 

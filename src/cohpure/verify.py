@@ -19,7 +19,7 @@ functions on their own recorded samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,15 +65,7 @@ class SuiteReport:
             "seed": self.seed,
             "trials": self.trials,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                    "known_negative": c.known_negative,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

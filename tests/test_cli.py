@@ -4,6 +4,8 @@ Regenerate the goldens with UPDATE_GOLDENS=1 after an intentional
 output-schema change.
 """
 
+import csv
+import io as io_module
 import json
 import math
 import os
@@ -136,6 +138,36 @@ class TestQuantify:
         assert lines[0] == "quantity,value"
         table = dict(line.split(",", 1) for line in lines[1:])
         assert math.isclose(float(table["p_alpha[1]"]), 0.5310044064107189, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("name", ["binary", "plus", "d4_rank3"])
+    def test_csv_rows_are_the_flattened_json(self, state_files, tmp_path, capsys, name):
+        path = state_files / f"{name}.json"
+        if name == "d4_rank3":
+            path = tmp_path / "d4_rank3.json"
+            io.write_state(path, random_density(4, 3, stream(5)))
+        argv = ["quantify", "--state", str(path), "--alpha", "0.5,2,3"]
+        assert climod.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert climod.main([*argv, "--format", "csv"]) == 0
+        rows = list(csv.reader(io_module.StringIO(capsys.readouterr().out)))
+
+        def flatten(block):
+            for key, value in block.items():
+                if isinstance(value, dict) and set(value) == {"value", "converged"}:
+                    yield key, value["value"]
+                elif isinstance(value, dict):
+                    yield from ((f"{key}[{k}]", v) for k, v in flatten(value))
+                else:
+                    yield key, value
+
+        flat = [*flatten(doc["purity"]), *flatten(doc["coherence"])]
+        assert rows == [["quantity", "value"], *([k, repr(v)] for k, v in flat)]
+        assert [k for k, _ in flat] == [
+            *(f"p_alpha[{a}]" for a in ("0", "0.5", "1", "2", "inf")),
+            "p_geometric", "p_linear", "distillable_1shot", "cost_1shot", "c_rel_entropy", "c_l1",
+            *(f"c_distance[{d}]" for d in MENU),
+            *(f"c_alpha[{a}]" for a in ("0.5", "2", "3")),
+        ]
 
     def test_determinism(self, state_files):
         a = run_cli("quantify", "--state", str(state_files / "binary.json"))
@@ -491,12 +523,15 @@ class TestBloch:
             x, y, z, v = (float(t) for t in row.split(","))
             assert abs(v - math.sqrt(x * x + y * y + z * z)) <= 1e-9
 
-    def test_center_is_zero_everywhere(self, tmp_path):
-        for quant in ("c_l1", "c_rel_entropy", "p_geometric", "p_2"):
-            out = tmp_path / f"{quant}.csv"
-            run_cli("bloch", "--grid", "3", "--quantifier", quant, "--out", str(out))
-            rows = {tuple(r.split(",")[:3]): float(r.split(",")[3]) for r in out.read_text().strip().splitlines()[1:]}
-            assert abs(rows[("0.0", "0.0", "0.0")]) <= 1e-9
+    @pytest.mark.parametrize("quant", climod.BLOCH_QUANTIFIERS)
+    def test_center_is_zero_everywhere(self, tmp_path, quant):
+        # every quantifier vanishes at the maximally mixed state but
+        # Tr rho^2, which takes its least value 1/d there
+        center = 0.5 if quant == "p_linear" else 0.0
+        out = tmp_path / f"{quant}.csv"
+        run_cli("bloch", "--grid", "3", "--quantifier", quant, "--out", str(out))
+        rows = {tuple(r.split(",")[:3]): float(r.split(",")[3]) for r in out.read_text().strip().splitlines()[1:]}
+        assert abs(rows[("0.0", "0.0", "0.0")] - center) <= 1e-9
 
     def test_grid_too_small_exit_two(self, tmp_path):
         proc = run_cli("bloch", "--grid", "1", "--quantifier", "c_l1", "--out", str(tmp_path / "x.csv"))

@@ -773,6 +773,19 @@ def test_sandwiched_objective_on_a_face_of_the_simplex(alpha):
     assert abs(value - 1.0) <= 1e-12 and q[2] == 0.0
 
 
+def test_renyi_two_row_whose_squares_underflow_is_empty():
+    # |rho_02|^2 underflows to 0, so order 2's row 2 of A = |rho_ij|^2 is
+    # empty: the solver fixes q_2 = 0, and its exact value must read that
+    # point by the same rule rather than as outside the support
+    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    m[0, 2] = m[2, 0] = 1e-170
+    res = c_alpha_result(m, 2.0)
+    assert res.value == 0.0 and res.converged and res.method == "newton"
+    assert np.array_equal(res.q, [0.5, 0.5, 0.0])
+    assert c_alpha_result(m, 3.0).value == 0.0
+    assert c_alpha_result(np.diag([0.5, 0.5, 0.0]), 2.0).value == 0.0
+
+
 @pytest.mark.parametrize("zero_row", [False, True], ids=["full_support", "zero_row"])
 def test_renyi_two_derivatives_match_finite_differences(zero_row):
     # T(q) = sum_ij |rho_ij|^2 (q_i q_j)^(-1/2); an index whose row of rho

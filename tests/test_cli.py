@@ -402,6 +402,19 @@ class TestHierarchy:
         assert doc["hierarchy"]["chain_ok"] and doc["max_hierarchy"]["ok"]
         check_golden("hierarchy_bell.json", proc.stdout)
 
+    def test_rank_two_golden(self, tmp_path, capsys):
+        # every menu distance at the benchmark's budget, and one budget
+        # whose searches take three rounds of minimizations
+        path = tmp_path / "r2.json"
+        io.write_state(path, random_density(4, 2, stream(60)), dims=(2, 2))
+        cases = [(distance, "2", "1") for distance in MENU] + [("one_minus_fidelity", "3", "2")]
+        docs = {}
+        for distance, restarts, refine in cases:
+            assert climod.main(["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", distance,
+                                "--restarts", restarts, "--refine", refine, "--seed", "61"]) == 0
+            docs[f"{distance} --restarts {restarts} --refine {refine}"] = json.loads(capsys.readouterr().out)
+        check_golden("hierarchy_rank2.json", json.dumps(docs, indent=1) + "\n")
+
     @pytest.mark.parametrize("distance,exact", [("trace_norm", 1.0), ("one_minus_fidelity", 0.5)])
     def test_bell_coherence_exact(self, state_files, distance, exact):
         # the Bell state is one 2x2 block on indices 0 and 3: a closed form

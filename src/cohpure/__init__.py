@@ -30,6 +30,7 @@ from .correlations import (
     c_N,
     cnot_activation,
     discord_upper,
+    hierarchy_checks,
     hierarchy_report,
     i_max_check,
     max_hierarchy_check,

@@ -264,12 +264,10 @@ def cmd_hierarchy(args) -> int:
     # the chain inequalities are certified at any simplex budget; keep the
     # inner minimizations light so nested searches stay interactive
     opt = SimplexOptConfig(restarts=2, max_iter=600, polish=False, seed=args.seed)
-    rep = correlations.hierarchy_report(
-        rho, dims, args.distance, budget=budget, rng=stream(args.seed), opt=opt
-    )
-    mrep = correlations.max_hierarchy_check(
-        rho, dims, args.distance, budget=Budget(max(args.restarts // 2, 1), max(args.refine // 2, 0)),
-        rng=stream(args.seed + 1), inner_budget=Budget(1, 0), opt=opt,
+    rep, mrep = correlations.hierarchy_checks(
+        rho, dims, args.distance, budget=budget, rng=stream(args.seed),
+        max_budget=Budget(max(args.restarts // 2, 1), max(args.refine // 2, 0)), max_rng=stream(args.seed + 1),
+        inner_budget=Budget(1, 0), opt=opt,
     )
     doc = {
         "schema_version": REPORT_SCHEMA,

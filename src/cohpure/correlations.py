@@ -2,7 +2,13 @@
 coherence-to-entanglement activation, composite-basis coherence, discord
 upper bounds over product unitaries, and the purity/coherence/discord
 hierarchy checks. Each pass of the search scores its trial states as one
-stack, formed by one stacked conjugation."""
+stack, formed by one stacked conjugation.
+
+The search is a task: a generator that yields each round's trial states
+and receives their values (:func:`_search`). A plain objective drives it
+in :func:`_maximize_all`. The hierarchy checks instead run several tasks
+that yield states to minimize, and :func:`_lockstep` joins them, so each
+round of all their searches is one ``minimize_diags`` call."""
 
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ __all__ = [
     "hierarchy_report",
     "MaxHierarchyReport",
     "max_hierarchy_check",
+    "hierarchy_checks",
     "CNOT",
 ]
 
@@ -116,6 +123,10 @@ def unitary_maximize(
     result is a certified lower bound on the supremum and never falls
     below the objective at the identity.
 
+    The climb is the task :func:`_search`, here answered by ``objective``
+    round by round; the hierarchy checks answer the same task by
+    minimizations shared with their other searches.
+
     ``extra_candidates`` entries are single matrices for a global
     search and (U_A, U_B) factor tuples for a product search.
     """
@@ -155,37 +166,58 @@ def _haar_draws(rngs, factor_dims, restarts: int) -> list:
     return [list(zip(*(h[n] for h in haar))) for n in range(len(rngs))]
 
 
+def _run(task, answer):
+    """Run a task, a generator that yields requests and receives their
+    replies, to its return value, replying answer(r) to each request r."""
+    reply = None
+    while True:
+        try:
+            request = task.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = answer(request)
+
+
 def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=()) -> list:
     """:func:`unitary_maximize` of every state in ``rhos``, the n-th
-    drawing its Haar candidates from ``rngs[n]``; the searches climb in
-    lockstep. The first objective call scores the candidates of every
-    state, and each pass makes one call on the trial states of every climb
-    still running. The objective scores rows independently, so each
-    state's OptResult, evals included, is that of a search on its own."""
-    rhos = [_as_state(rho) for rho in rhos]
+    drawing its Haar candidates from ``rngs[n]``: :func:`_search` with
+    each round's trial states scored by one objective call. The objective
+    scores rows independently, so each state's OptResult, evals included,
+    is that of a search on its own."""
+    mats = np.stack([_as_state(rho).mat for rho in rhos])
+    return _run(
+        _search(mats, budget, rngs, dims, extra_candidates), lambda trials: objective([_trusted(m) for m in trials])
+    )
+
+
+def _search(mats, budget, rngs, dims=None, extra_candidates=()):
+    """The searches of a (N, d, d) stack of states in lockstep, as a task:
+    it yields each round's (K, d, d) stack of trial states U rho_n U^dag,
+    receives their K values and returns one OptResult per state. The first
+    round holds the candidates of every state, drawn from ``rngs`` before
+    it is yielded, and each later round the trial states of every climb
+    still running."""
     budget = Budget(*budget)
     if budget.restarts < 0 or budget.refine_iters < 0 or sum(budget) == 0:
         raise DomainError(f"budget must allow some work, got {budget}")
-    dim = rhos[0].dim
+    dim = mats.shape[-1]
     if dims is None:
         factor_dims = (dim,)
     else:
         factor_dims = (int(dims[0]), int(dims[1]))
         if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != dim:
             raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
-    mats = np.stack([rho.mat for rho in rhos])
 
-    def conj_values(ns, us):
-        # the objective at U_k rho_{n_k} U_k^dag, one batched conjugation
-        conj = us @ mats[ns] @ np.conj(us).swapaxes(-1, -2)
-        return [float(v) for v in objective([_trusted(m) for m in conj])]
+    def conj(ns, us):
+        # the trial states U_k rho_{n_k} U_k^dag, one batched conjugation
+        return us @ mats[ns] @ np.conj(us).swapaxes(-1, -2)
 
     fixed = [tuple(np.eye(fd, dtype=complex) for fd in factor_dims)]
     for u in extra_candidates:
         fixed.append((np.asarray(u, dtype=complex),) if dims is None else tuple(map(np.asarray, u)))
     candidates = [fixed + draws for draws in _haar_draws(rngs, factor_dims, budget.restarts)]
-    ns = np.repeat(np.arange(len(rhos)), [len(c) for c in candidates])
-    values = iter(conj_values(ns, np.stack([_compose(f) for cands in candidates for f in cands])))
+    ns = np.repeat(np.arange(len(mats)), [len(c) for c in candidates])
+    values = map(float, (yield conj(ns, np.stack([_compose(f) for cands in candidates for f in cands]))))
     climbs = []
     for n, cands in enumerate(candidates):
         vals = [next(values) for _ in cands]
@@ -201,7 +233,8 @@ def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=())
             # one batched product per factor, the other factors fixed
             for f_idx, s in enumerate(steps):
                 trials.append(_compose(c.factors[:f_idx] + [c.factors[f_idx] @ s] + c.factors[f_idx + 1 :]))
-        values = iter(conj_values(np.repeat([c.n for c in running], [len(m) for m in moves]), np.concatenate(trials)))
+        ns = np.repeat([c.n for c in running], [len(m) for m in moves])
+        values = map(float, (yield conj(ns, np.concatenate(trials))))
         for c, climb_moves in zip(running, moves):
             c.evals += len(climb_moves)
             # the scan keeps the first strict improvement, as a sequential
@@ -297,17 +330,13 @@ def discord_upper(
     return -unitary_maximize(_neg_coherence(distance, opt), rho, budget=budget, rng=rng, dims=dims).best_value
 
 
-def _neg_coherence(distance, opt, first=None):
+def _neg_coherence(distance, opt):
     """The discord searches' objective: minus the composite coherence of
-    each state, every batch minimized as one stack. A list ``first``
-    receives the minimizations of the first batch."""
+    each state, every batch minimized as one stack."""
     distance = get_distance(distance)
 
     def neg_c(states_):
-        res = minimize_diags(np.stack([s.mat for s in states_]), distance, opt)
-        if first is not None and not first:
-            first.extend(res)
-        return [-r.value for r in res]
+        return [-r.value for r in minimize_diags(np.stack([s.mat for s in states_]), distance, opt)]
 
     return neg_c
 
@@ -388,21 +417,58 @@ class HierarchyReport:
         )
 
 
-def hierarchy_report(
-    rho: DensityMatrix,
-    dims,
-    distance,
-    budget=Budget(64, 200),
-    rng: np.random.Generator | None = None,
-    opt: SimplexOptConfig | None = None,
-) -> HierarchyReport:
-    rho = _as_state(rho)
-    distance = get_distance(distance)
+def _lockstep(tasks):
+    """Tasks that yield (K, d, d) stacks of states to minimize and receive
+    their SimplexResults, run as one such task: each round yields the
+    stacks of every task still running as one, sends each task its own
+    slice of the results, and the task returns the tasks' return values.
+    The tasks start in order, so draws that each makes before its first
+    stack come in that order."""
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    asked = {}
+
+    def advance(k, reply):
+        try:
+            asked[k] = tasks[k].send(reply)
+        except StopIteration as stop:
+            results[k] = stop.value
+
+    for k in range(len(tasks)):
+        advance(k, None)
+    while asked:
+        round_ = list(asked.items())
+        asked.clear()
+        minima = yield np.concatenate([stack for _, stack in round_])
+        ends = np.cumsum([len(stack) for _, stack in round_])
+        for (k, stack), end in zip(round_, ends):
+            advance(k, minima[end - len(stack) : end])
+    return results
+
+
+def _discord_searches(mats, budget, rngs, dims):
+    """The discord_upper searches of a stack of states as a task: each round
+    of :func:`_search` yields its trial states for minimization and scores
+    them by minus their minima. Returns the OptResults and the first
+    round's minimizations."""
+    search = _search(mats, budget, rngs, dims)
+    trials, first = next(search), None
+    while True:
+        minima = yield trials
+        first = minima if first is None else first
+        try:
+            trials = search.send([-r.value for r in minima])
+        except StopIteration as stop:
+            return stop.value, first
+
+
+def _report_task(rho, dims, distance, budget, rng):
+    """:func:`hierarchy_report` as a task that yields stacks to minimize."""
     p = purity.p_distance(rho, distance)
-    # the search's first batch starts with its identity candidate, and
+    rng = rng if rng is not None else linalg.stream(0)
+    (search,), first = yield from _discord_searches(rho.mat[None], budget, [rng], dims)
+    # the search's first round starts with its identity candidate, and
     # I rho I = rho bit for bit: its minimization is rho's own
-    first = []
-    search = unitary_maximize(_neg_coherence(distance, opt, first), rho, budget=budget, rng=rng, dims=dims)
     return HierarchyReport(
         distance=distance.name,
         purity=p,
@@ -411,6 +477,22 @@ def hierarchy_report(
         witness_q=first[0].q,
         witness_product_unitary=search.best_unitary,
     )
+
+
+def hierarchy_report(
+    rho: DensityMatrix,
+    dims,
+    distance,
+    budget=Budget(64, 200),
+    rng: np.random.Generator | None = None,
+    opt: SimplexOptConfig | None = None,
+) -> HierarchyReport:
+    """Purity, the composite coherence C_N and the discord_upper bound of
+    one state, from one product search of minus the composite coherence."""
+    rho = _as_state(rho)
+    distance = get_distance(distance)
+    minimize = functools.partial(minimize_diags, distance=distance, cfg=opt)
+    return _run(_report_task(rho, dims, distance, budget, rng), minimize)
 
 
 @dataclass(frozen=True)
@@ -431,6 +513,42 @@ class MaxHierarchyReport:
         return self.c_max_lower <= self.purity + 1e-9 and self.d_max_lower <= self.purity + 1e-9
 
 
+def _mcms_coherence(rho):
+    """The coherence of the MCMS of rho's spectrum, as a task."""
+    (res,) = yield coherence.mcms(rho.spectrum, rho.dim).mat[None]
+    return res.value
+
+
+def _max_discord(rho, dims, budget, rng, inner_budget):
+    """The search for the maximal discord as a task: a global search whose
+    trial states each take an ``inner_budget`` product search. Each round's
+    inner searches climb in lockstep, each on a fresh deterministic stream,
+    which keeps the outer objective pure."""
+    inner_seed = int(rng.integers(0, 2**63 - 1))
+    search = _search(rho.mat[None], budget, [rng])
+    trials = next(search)
+    while True:
+        inner, _ = yield from _discord_searches(trials, inner_budget, [linalg.stream(inner_seed) for _ in trials], dims)
+        try:
+            trials = search.send([-r.best_value for r in inner])
+        except StopIteration as stop:
+            return stop.value[0].best_value
+
+
+def _max_check_task(rho, dims, distance, budget, rng, inner_budget):
+    """:func:`max_hierarchy_check` as a task that yields stacks to minimize."""
+    p = purity.p_distance(rho, distance)
+    rng = rng if rng is not None else linalg.stream(0)
+    c_max, d_max = yield from _lockstep([_mcms_coherence(rho), _max_discord(rho, dims, budget, rng, inner_budget)])
+    return MaxHierarchyReport(
+        distance=distance.name,
+        purity=p,
+        c_max_lower=c_max,
+        d_max_lower=d_max,
+        optimizer_gap=p - c_max,
+    )
+
+
 def max_hierarchy_check(
     rho: DensityMatrix,
     dims,
@@ -443,30 +561,34 @@ def max_hierarchy_check(
     """C_max is read off the MCMS of rho's spectrum, which attains it for
     every distance; only the maximal discord is searched, over ``budget``
     global unitaries each scored by an ``inner_budget`` product search.
-    The product searches of one batch of global candidates climb in
-    lockstep, so each inner pass scores the trial states of all of them
-    as one stack."""
+    The MCMS and each round of the search are minimized as one stack."""
     rho = _as_state(rho)
     distance = get_distance(distance)
-    rng = rng if rng is not None else linalg.stream(0)
-    p = purity.p_distance(rho, distance)
-    c_max = purity.p_coherence_based(rho, lambda s: coherence.c_distance(s, distance, opt))
+    minimize = functools.partial(minimize_diags, distance=distance, cfg=opt)
+    return _run(_max_check_task(rho, dims, distance, budget, rng, inner_budget), minimize)
 
-    inner_seed = int(rng.integers(0, 2**63 - 1))
-    neg_c = _neg_coherence(distance, opt)
 
-    def discord_at(states_):
-        # the discord_upper of every state: its inner product searches
-        # climb in lockstep, each on a fresh deterministic stream, which
-        # keeps the objective pure
-        streams = [linalg.stream(inner_seed) for _ in states_]
-        return [-r.best_value for r in _maximize_all(neg_c, states_, inner_budget, streams, dims)]
-
-    res_d = unitary_maximize(discord_at, rho, budget=budget, rng=rng)
-    return MaxHierarchyReport(
-        distance=distance.name,
-        purity=p,
-        c_max_lower=c_max,
-        d_max_lower=res_d.best_value,
-        optimizer_gap=p - c_max,
-    )
+def hierarchy_checks(
+    rho: DensityMatrix,
+    dims,
+    distance,
+    budget=Budget(64, 200),
+    rng: np.random.Generator | None = None,
+    max_budget=Budget(16, 8),
+    max_rng: np.random.Generator | None = None,
+    inner_budget=Budget(4, 2),
+    opt: SimplexOptConfig | None = None,
+) -> tuple:
+    """(hierarchy_report(rho, dims, distance, budget, rng, opt),
+    max_hierarchy_check(rho, dims, distance, max_budget, max_rng,
+    inner_budget, opt)), bit for bit, with the searches of both run in
+    lockstep: each round minimizes the states of all of them as one stack.
+    ``rng`` and ``max_rng`` may be one stream, read as the two calls in
+    turn would read it."""
+    rho = _as_state(rho)
+    distance = get_distance(distance)
+    tasks = [
+        _report_task(rho, dims, distance, budget, rng),
+        _max_check_task(rho, dims, distance, max_budget, max_rng, inner_budget),
+    ]
+    return tuple(_run(_lockstep(tasks), functools.partial(minimize_diags, distance=distance, cfg=opt)))

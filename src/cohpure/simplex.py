@@ -72,6 +72,9 @@ _ARMIJO = 0.25
 # cap on Newton steps per state, far above need: no state of the tests or
 # of the benchmark's workloads takes more than 46
 _NEWTON_STEPS = 200
+# sandwiched order 2: an index i with A_ii = 0 whose row adds at most half
+# an ulp to T at the optimum is held at q_i = 0 (see _RenyiTwoForm)
+_NEGLIGIBLE_ROW = (np.finfo(float).eps / 6.0) ** 1.5
 
 
 class Distance:
@@ -714,18 +717,25 @@ class _RenyiTwoForm:
     -w^3 (A w) and Hessian A o (w^3 w^3^T) / 2 + diag(3/2 (A w) w^5). T
     grows without bound towards every face q_i = 0 with rho_ii > 0, so one
     stage with no barrier suffices, from (dephased + uniform on the
-    support) / 2; an index whose row of A vanishes stays at q_i = 0. The
-    exact value is log2 T, and +inf where q_i = 0 off those ``fixed``
-    indices: the support rule of the sandwiched divergences, read off A so
-    that a row of rho whose squares underflow to 0 counts as empty, as the
-    solver treats it."""
+    support) / 2. An index with A_ii = 0 stays at q_i = 0 when its row
+    cannot change T in double precision: its term at the optimum is
+    3 T^(1/3) b^(2/3), b = sum_j A_ij w_j, and T >= 1 and w_j <= sqrt(T) /
+    |rho_jj| bound it by 3 T r^(2/3), r = sum_j A_ij / |rho_jj|, which
+    ``_NEGLIGIBLE_ROW`` keeps under half an ulp of T; an empty row, or
+    one whose squares underflow to 0, has r = 0. The exact value is
+    log2 T, and +inf where q_i = 0 off those ``fixed`` indices: the
+    support rule of the sandwiched divergences, read off the indices the
+    solver holds at 0."""
 
     schedule = (0.0,)
 
     def __init__(self, mats):
         self.mats = mats
         self.A = np.abs(mats) ** 2
-        self.fixed = ~self.A.any(axis=2)
+        diag = np.sqrt(np.diagonal(self.A, axis1=1, axis2=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(self.A > 0, self.A / diag[:, None, :], 0.0).sum(axis=2)
+        self.fixed = (diag == 0) & (r <= _NEGLIGIBLE_ROW)
         free = ~self.fixed
         self.start = (_dephased(mats) + free / free.sum(axis=1, keepdims=True)) / 2.0
 
@@ -858,7 +868,9 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
         total_ev += 2 * iters.reshape(N, R).sum(axis=1)
     converged = done.reshape(N, R).all(axis=1)
     pool = np.concatenate([Q.reshape(N, R, d), starts], axis=1)
-    vals = objectives[0.0](pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R))[0].reshape(N, 2 * R)
+    # values only: no row lies below -inf, so no gradient is taken
+    vals = objectives[0.0](pool.reshape(-1, d), np.repeat(np.arange(N), 2 * R), below=np.full(N * 2 * R, -np.inf))
+    vals = vals[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
     results = []
@@ -882,7 +894,7 @@ def _slsqp_polish(evaluate, n, q, v):
     d = q.size
 
     def fun(x):
-        return float(evaluate(np.clip(x, 0.0, None)[None, :], [n])[0][0])
+        return float(evaluate(np.clip(x, 0.0, None)[None, :], [n], below=np.full(1, -np.inf))[0][0])
 
     def jac(x):
         return evaluate(np.clip(x, 1e-14, None)[None, :], [n])[1][0]

@@ -275,11 +275,11 @@ def _hierarchy_chains(states_, rng) -> list:
     chain_ok, max_ok = True, True
     for rho in states_:
         for name in MENU:
-            rep = correlations.hierarchy_report(rho, (2, 2), name, budget=Budget(2, 1), rng=rng, opt=ULTRA_OPT)
-            chain_ok = chain_ok and rep.chain_ok
-            mrep = correlations.max_hierarchy_check(
-                rho, (2, 2), name, budget=Budget(2, 0), rng=rng, inner_budget=Budget(1, 0), opt=ULTRA_OPT
+            rep, mrep = correlations.hierarchy_checks(
+                rho, (2, 2), name, budget=Budget(2, 1), rng=rng, max_budget=Budget(2, 0), max_rng=rng,
+                inner_budget=Budget(1, 0), opt=ULTRA_OPT,
             )
+            chain_ok = chain_ok and rep.chain_ok
             max_ok = max_ok and mrep.ok
     return [
         CheckResult("hierarchy_chain", chain_ok, "purity >= c_N >= discord bound"),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cohpure import cli as climod
-from cohpure import io
+from cohpure import correlations, io, simplex
 from cohpure.simplex import MENU, SandwichedAlphaDivergence, SimplexResult, _RenyiTwoForm
 from cohpure.linalg import stream
 from cohpure.states import diagonal, maximally_mixed, pure, random_density
@@ -414,6 +414,27 @@ class TestHierarchy:
                                 "--restarts", restarts, "--refine", refine, "--seed", "61"]) == 0
             docs[f"{distance} --restarts {restarts} --refine {refine}"] = json.loads(capsys.readouterr().out)
         check_golden("hierarchy_rank2.json", json.dumps(docs, indent=1) + "\n")
+
+    @pytest.mark.parametrize("distance", MENU)
+    def test_two_minimizations_per_command(self, tmp_path, capsys, monkeypatch, distance):
+        # the report's candidates, the MCMS and the maximal discord search's
+        # inner batch are minimized as one stack, the report's refine pass
+        # as the other
+        path = tmp_path / "r2.json"
+        io.write_state(path, random_density(4, 2, stream(60)), dims=(2, 2))
+        sizes = []
+        original = simplex.minimize_diags
+
+        def counted(mats, *args, **kwargs):
+            sizes.append(len(mats))
+            return original(mats, *args, **kwargs)
+
+        monkeypatch.setattr(simplex, "minimize_diags", counted)
+        monkeypatch.setattr(correlations, "minimize_diags", counted)
+        assert climod.main(["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", distance,
+                            "--restarts", "2", "--refine", "1", "--seed", "61"]) == 0
+        capsys.readouterr()
+        assert sizes == [3 + 1 + 2 * 2, 2 * (4 + 4)]
 
     @pytest.mark.parametrize("distance,exact", [("trace_norm", 1.0), ("one_minus_fidelity", 0.5)])
     def test_bell_coherence_exact(self, state_files, distance, exact):

@@ -226,6 +226,90 @@ class TestLockstepSearch:
         )
         assert rep.d_max_lower == want.best_value
 
+    @pytest.mark.parametrize("distance", ["trace_norm", "one_minus_fidelity"])
+    def test_task_matches_plain_objective(self, distance):
+        # the discord searches as a task that yields its stacks for
+        # minimization: the same OptResults as _maximize_all, and its first
+        # round's minima are those of the candidates
+        rng = stream(48)
+        states_ = [random_density(4, rank, rng) for rank in (1, 2, 4)]
+        mats = np.stack([rho.mat for rho in states_])
+        budget = Budget(2, 3)
+        stacks = []
+
+        def minimize(stack):
+            stacks.append(stack)
+            return correlations.minimize_diags(stack, distance, ULTRA_OPT)
+
+        task = correlations._discord_searches(mats, budget, [stream(49) for _ in states_], (2, 2))
+        got, first = correlations._run(task, minimize)
+        want = correlations._maximize_all(
+            correlations._neg_coherence(distance, ULTRA_OPT), states_, budget, [stream(49) for _ in states_], (2, 2)
+        )
+        assert len(stacks) == 1 + budget.refine_iters and len(first) == len(stacks[0]) == 3 * (1 + budget.restarts)
+        for a, b in zip(got, want, strict=True):
+            assert a.best_value == b.best_value and a.evals == b.evals
+            assert a.improved_by_refinement == b.improved_by_refinement
+            assert np.array_equal(a.best_unitary, b.best_unitary)
+        for a, b in zip(first, correlations.minimize_diags(stacks[0], distance, ULTRA_OPT), strict=True):
+            assert a.value == b.value and np.array_equal(a.q, b.q) and a.evals == b.evals
+
+
+def _assert_same_reports(got, want):
+    """Two (HierarchyReport, MaxHierarchyReport) pairs agree bit for bit."""
+    (rep, mrep), (rep_w, mrep_w) = got, want
+    for field in ("distance", "purity", "coherence_n", "discord_upper"):
+        assert getattr(rep, field) == getattr(rep_w, field), field
+    assert np.array_equal(rep.witness_q, rep_w.witness_q)
+    assert np.array_equal(rep.witness_product_unitary, rep_w.witness_product_unitary)
+    assert mrep == mrep_w
+
+
+def _one_then_other(rho, dims, distance, budget, rng, max_budget, max_rng, inner_budget, opt):
+    return (
+        hierarchy_report(rho, dims, distance, budget, rng, opt),
+        max_hierarchy_check(rho, dims, distance, max_budget, max_rng, inner_budget, opt),
+    )
+
+
+class TestHierarchyChecks:
+    """hierarchy_checks runs the report's search, the MCMS and the maximal
+    discord search in lockstep; it must return what hierarchy_report and
+    then max_hierarchy_check return."""
+
+    STATES = {
+        "bell": lambda: BELL,
+        "rank1": lambda: random_density(4, 1, stream(50)),
+        "rank2": lambda: random_density(4, 2, stream(51)),
+        "rank4": lambda: random_density(4, 4, stream(52)),
+    }
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["two_streams", "one_stream"])
+    @pytest.mark.parametrize("state", sorted(STATES))
+    @pytest.mark.parametrize("distance", MENU)
+    def test_equals_the_two_calls(self, distance, state, shared):
+        # two streams as the CLI passes them, or one read by both searches
+        # in turn as the theorem2 suite passes it
+        rho = self.STATES[state]()
+
+        def call(run):
+            rng = stream(53)
+            max_rng = rng if shared else stream(54)
+            return run(rho, (2, 2), distance, Budget(2, 2), rng, Budget(1, 1), max_rng, Budget(1, 0), ULTRA_OPT)
+
+        _assert_same_reports(call(correlations.hierarchy_checks), call(_one_then_other))
+
+    @pytest.mark.parametrize("dims", [(1, 4), (4, 1), (2, 2)])
+    @pytest.mark.parametrize("distance", MENU)
+    def test_no_restarts_and_one_dimensional_factors(self, distance, dims):
+        # Budget(0, 3): only the identity is scored before the climbs
+        rho = random_density(4, 3, stream(55))
+
+        def call(run):
+            return run(rho, dims, distance, Budget(0, 3), stream(56), Budget(0, 3), stream(57), Budget(1, 0), ULTRA_OPT)
+
+        _assert_same_reports(call(correlations.hierarchy_checks), call(_one_then_other))
+
 
 def _oracle_step(d, i, j, kind, eps):
     """exp(i eps H) for one orthonormal Hermitian generator H."""

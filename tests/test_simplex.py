@@ -786,6 +786,30 @@ def test_renyi_two_row_whose_squares_underflow_is_empty():
     assert c_alpha_result(np.diag([0.5, 0.5, 0.0]), 2.0).value == 0.0
 
 
+@pytest.mark.parametrize("entry", [1e-150, 1e-120])
+def test_renyi_two_row_too_small_to_count_is_empty(entry):
+    # |rho_02|^2 does not underflow, but row 2 adds ~(|rho_02|^2)^(2/3) to T
+    # at the optimum, far below an ulp: q_2 is held at 0 rather than driven
+    # towards it until the Hessian overflows
+    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    m[0, 2] = m[2, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = c_alpha_result(m, 2.0)
+    assert res.value == 0.0 and res.converged and res.method == "newton"
+    assert np.array_equal(res.q, [0.5, 0.5, 0.0])
+
+
+def test_renyi_two_row_that_counts_stays_free():
+    # at rho_02 = 1e-8 row 2 raises T by 3 (sqrt(2) 1e-16)^(2/3) at the
+    # optimum, which double precision resolves
+    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    m[0, 2] = m[2, 0] = 1e-8
+    res = c_alpha_result(m, 2.0)
+    assert res.converged and res.q[2] > 0.0
+    assert math.isclose(res.value, math.log2(1.0 + 3.0 * (math.sqrt(2.0) * 1e-16) ** (2.0 / 3.0)), rel_tol=1e-3)
+
+
 @pytest.mark.parametrize("zero_row", [False, True], ids=["full_support", "zero_row"])
 def test_renyi_two_derivatives_match_finite_differences(zero_row):
     # T(q) = sum_ij |rho_ij|^2 (q_i q_j)^(-1/2); an index whose row of rho

@@ -6,9 +6,10 @@ stack, formed by one stacked conjugation.
 
 The search is a task: a generator that yields each round's trial states
 and receives their values (:func:`_search`). A plain objective drives it
-in :func:`_maximize_all`. The hierarchy checks instead run several tasks
-that yield states to minimize, and :func:`_lockstep` joins them, so each
-round of all their searches is one ``minimize_diags`` call."""
+in :func:`_maximize_all`. The hierarchy checks and the theorem2 suite
+instead score it by minimizations (:func:`_minima_search`), and
+:func:`_lockstep` drives any list of such tasks with one
+``minimize_diags`` call per distance and dimension per round."""
 
 from __future__ import annotations
 
@@ -124,8 +125,8 @@ def unitary_maximize(
     below the objective at the identity.
 
     The climb is the task :func:`_search`, here answered by ``objective``
-    round by round; the hierarchy checks answer the same task by
-    minimizations shared with their other searches.
+    round by round; the hierarchy checks and the theorem2 suite answer
+    the same task by minimizations shared with their other searches.
 
     ``extra_candidates`` entries are single matrices for a global
     search and (U_A, U_B) factor tuples for a product search.
@@ -166,28 +167,19 @@ def _haar_draws(rngs, factor_dims, restarts: int) -> list:
     return [list(zip(*(h[n] for h in haar))) for n in range(len(rngs))]
 
 
-def _run(task, answer):
-    """Run a task, a generator that yields requests and receives their
-    replies, to its return value, replying answer(r) to each request r."""
-    reply = None
-    while True:
-        try:
-            request = task.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = answer(request)
-
-
 def _maximize_all(objective, rhos, budget, rngs, dims=None, extra_candidates=()) -> list:
     """:func:`unitary_maximize` of every state in ``rhos``, the n-th
     drawing its Haar candidates from ``rngs[n]``: :func:`_search` with
     each round's trial states scored by one objective call. The objective
     scores rows independently, so each state's OptResult, evals included,
     is that of a search on its own."""
-    mats = np.stack([_as_state(rho).mat for rho in rhos])
-    return _run(
-        _search(mats, budget, rngs, dims, extra_candidates), lambda trials: objective([_trusted(m) for m in trials])
-    )
+    search = _search(np.stack([_as_state(rho).mat for rho in rhos]), budget, rngs, dims, extra_candidates)
+    trials = next(search)
+    while True:
+        try:
+            trials = search.send(objective([_trusted(m) for m in trials]))
+        except StopIteration as stop:
+            return stop.value
 
 
 def _search(mats, budget, rngs, dims=None, extra_candidates=()):
@@ -201,12 +193,7 @@ def _search(mats, budget, rngs, dims=None, extra_candidates=()):
     if budget.restarts < 0 or budget.refine_iters < 0 or sum(budget) == 0:
         raise DomainError(f"budget must allow some work, got {budget}")
     dim = mats.shape[-1]
-    if dims is None:
-        factor_dims = (dim,)
-    else:
-        factor_dims = (int(dims[0]), int(dims[1]))
-        if min(factor_dims) < 1 or factor_dims[0] * factor_dims[1] != dim:
-            raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
+    factor_dims = (dim,) if dims is None else linalg._check_bipartite(dims, dim)
 
     def conj(ns, us):
         # the trial states U_k rho_{n_k} U_k^dag, one batched conjugation
@@ -310,9 +297,7 @@ def c_N(rho: DensityMatrix, dims, distance, opt: SimplexOptConfig | None = None)
     the product basis is the composite computational basis, so this is
     the composite-space distance-based coherence."""
     rho = _as_state(rho)
-    da, db = int(dims[0]), int(dims[1])
-    if min(da, db) < 1 or da * db != rho.dim:
-        raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {rho.dim}")
+    linalg._check_bipartite(dims, rho.dim)
     return coherence.c_distance(rho, distance, opt)
 
 
@@ -373,7 +358,7 @@ def i_max_check(
     unitary exceeds it; the search value is a lower bound, so gap >= 0 up
     to round-off."""
     rho = _as_state(rho)
-    da, db = int(dims[0]), int(dims[1])
+    da, db = linalg._check_bipartite(dims, rho.dim)
     if da != db:
         raise ValidationError("dimension", message=f"equal subsystems required, got {dims}")
     # the spectrum, and so S(U rho U^dag) = S(rho), is invariant: only the
@@ -417,14 +402,13 @@ class HierarchyReport:
         )
 
 
-def _lockstep(tasks):
-    """Tasks that yield (K, d, d) stacks of states to minimize and receive
-    their SimplexResults, run as one such task: each round yields the
-    stacks of every task still running as one, sends each task its own
-    slice of the results, and the task returns the tasks' return values.
-    The tasks start in order, so draws that each makes before its first
-    stack come in that order."""
-    tasks = list(tasks)
+def _lockstep(tasks, opt) -> list:
+    """Run tasks that yield (distance, (K, d, d) stack) requests and receive
+    the stack's SimplexResults; returns their return values in order. Each
+    round minimizes the pending stacks of each (distance, d) as one stack
+    under ``opt``: rows of ``minimize_diags`` never interact, so every task
+    gets what calls on its own stacks would give. The tasks start in order,
+    so the draws each makes before its first request come in that order."""
     results = [None] * len(tasks)
     asked = {}
 
@@ -437,36 +421,42 @@ def _lockstep(tasks):
     for k in range(len(tasks)):
         advance(k, None)
     while asked:
-        round_ = list(asked.items())
+        groups = {}
+        for k, (distance, stack) in asked.items():
+            groups.setdefault((distance.name, stack.shape[-1]), []).append((k, distance, stack))
         asked.clear()
-        minima = yield np.concatenate([stack for _, stack in round_])
-        ends = np.cumsum([len(stack) for _, stack in round_])
-        for (k, stack), end in zip(round_, ends):
-            advance(k, minima[end - len(stack) : end])
+        for members in groups.values():
+            minima = iter(minimize_diags(np.concatenate([stack for _, _, stack in members]), members[0][1], opt))
+            for k, _, stack in members:
+                advance(k, [next(minima) for _ in stack])
     return results
 
 
-def _discord_searches(mats, budget, rngs, dims):
-    """The discord_upper searches of a stack of states as a task: each round
-    of :func:`_search` yields its trial states for minimization and scores
-    them by minus their minima. Returns the OptResults and the first
-    round's minimizations."""
+def _minimum(distance, mat):
+    """The minimum of one matrix under ``distance``, as a task."""
+    (res,) = yield distance, mat[None]
+    return res.value
+
+
+def _minima_search(mats, budget, rngs, dims, distance, sign):
+    """The searches of :func:`_search` as a task that scores each trial
+    state by ``sign`` times its minimum under ``distance``. Returns the
+    OptResults and the first round's minimizations."""
     search = _search(mats, budget, rngs, dims)
-    trials, first = next(search), None
+    first = minima = yield distance, next(search)
     while True:
-        minima = yield trials
-        first = minima if first is None else first
         try:
-            trials = search.send([-r.value for r in minima])
+            trials = search.send([sign * r.value for r in minima])
         except StopIteration as stop:
             return stop.value, first
+        minima = yield distance, trials
 
 
 def _report_task(rho, dims, distance, budget, rng):
-    """:func:`hierarchy_report` as a task that yields stacks to minimize."""
+    """:func:`hierarchy_report` as a task."""
     p = purity.p_distance(rho, distance)
     rng = rng if rng is not None else linalg.stream(0)
-    (search,), first = yield from _discord_searches(rho.mat[None], budget, [rng], dims)
+    (search,), first = yield from _minima_search(rho.mat[None], budget, [rng], dims, distance, -1)
     # the search's first round starts with its identity candidate, and
     # I rho I = rho bit for bit: its minimization is rho's own
     return HierarchyReport(
@@ -489,10 +479,7 @@ def hierarchy_report(
 ) -> HierarchyReport:
     """Purity, the composite coherence C_N and the discord_upper bound of
     one state, from one product search of minus the composite coherence."""
-    rho = _as_state(rho)
-    distance = get_distance(distance)
-    minimize = functools.partial(minimize_diags, distance=distance, cfg=opt)
-    return _run(_report_task(rho, dims, distance, budget, rng), minimize)
+    return _lockstep([_report_task(_as_state(rho), dims, get_distance(distance), budget, rng)], opt)[0]
 
 
 @dataclass(frozen=True)
@@ -513,33 +500,34 @@ class MaxHierarchyReport:
         return self.c_max_lower <= self.purity + 1e-9 and self.d_max_lower <= self.purity + 1e-9
 
 
-def _mcms_coherence(rho):
-    """The coherence of the MCMS of rho's spectrum, as a task."""
-    (res,) = yield coherence.mcms(rho.spectrum, rho.dim).mat[None]
-    return res.value
-
-
-def _max_discord(rho, dims, budget, rng, inner_budget):
+def _max_discord(rho, dims, distance, budget, rng, inner_budget):
     """The search for the maximal discord as a task: a global search whose
     trial states each take an ``inner_budget`` product search. Each round's
     inner searches climb in lockstep, each on a fresh deterministic stream,
     which keeps the outer objective pure."""
+    rng = rng if rng is not None else linalg.stream(0)
     inner_seed = int(rng.integers(0, 2**63 - 1))
     search = _search(rho.mat[None], budget, [rng])
     trials = next(search)
     while True:
-        inner, _ = yield from _discord_searches(trials, inner_budget, [linalg.stream(inner_seed) for _ in trials], dims)
+        streams = [linalg.stream(inner_seed) for _ in trials]
+        inner, _ = yield from _minima_search(trials, inner_budget, streams, dims, distance, -1)
         try:
             trials = search.send([-r.best_value for r in inner])
         except StopIteration as stop:
             return stop.value[0].best_value
 
 
-def _max_check_task(rho, dims, distance, budget, rng, inner_budget):
-    """:func:`max_hierarchy_check` as a task that yields stacks to minimize."""
+def _max_tasks(rho, dims, distance, budget, rng, inner_budget) -> list:
+    """The tasks of :func:`max_hierarchy_check`: the MCMS's minimum, then
+    the maximal discord search."""
+    mcms = coherence.mcms(rho.spectrum, rho.dim).mat
+    return [_minimum(distance, mcms), _max_discord(rho, dims, distance, budget, rng, inner_budget)]
+
+
+def _max_report(rho, distance, c_max, d_max) -> MaxHierarchyReport:
+    """:func:`max_hierarchy_check`'s report from its tasks' return values."""
     p = purity.p_distance(rho, distance)
-    rng = rng if rng is not None else linalg.stream(0)
-    c_max, d_max = yield from _lockstep([_mcms_coherence(rho), _max_discord(rho, dims, budget, rng, inner_budget)])
     return MaxHierarchyReport(
         distance=distance.name,
         purity=p,
@@ -564,8 +552,7 @@ def max_hierarchy_check(
     The MCMS and each round of the search are minimized as one stack."""
     rho = _as_state(rho)
     distance = get_distance(distance)
-    minimize = functools.partial(minimize_diags, distance=distance, cfg=opt)
-    return _run(_max_check_task(rho, dims, distance, budget, rng, inner_budget), minimize)
+    return _max_report(rho, distance, *_lockstep(_max_tasks(rho, dims, distance, budget, rng, inner_budget), opt))
 
 
 def hierarchy_checks(
@@ -582,13 +569,22 @@ def hierarchy_checks(
     """(hierarchy_report(rho, dims, distance, budget, rng, opt),
     max_hierarchy_check(rho, dims, distance, max_budget, max_rng,
     inner_budget, opt)), bit for bit, with the searches of both run in
-    lockstep: each round minimizes the states of all of them as one stack.
-    ``rng`` and ``max_rng`` may be one stream, read as the two calls in
-    turn would read it."""
-    rho = _as_state(rho)
-    distance = get_distance(distance)
-    tasks = [
-        _report_task(rho, dims, distance, budget, rng),
-        _max_check_task(rho, dims, distance, max_budget, max_rng, inner_budget),
+    lockstep. ``rng`` and ``max_rng`` may be one stream, read as the two
+    calls in turn would read it."""
+    return _hierarchy_checks([(rho, distance)], dims, budget, rng, max_budget, max_rng, inner_budget, opt)[0]
+
+
+def _hierarchy_checks(cases, dims, budget, rng, max_budget, max_rng, inner_budget, opt) -> list:
+    """:func:`hierarchy_checks` of every (rho, distance) pair of ``cases``,
+    bit for bit, all run in lockstep; the pairs start in order, so shared
+    streams are read as calls in turn would read them."""
+    cases = [(_as_state(rho), get_distance(distance)) for rho, distance in cases]
+    tasks = []
+    for rho, distance in cases:
+        tasks.append(_report_task(rho, dims, distance, budget, rng))
+        tasks += _max_tasks(rho, dims, distance, max_budget, max_rng, inner_budget)
+    out = _lockstep(tasks, opt)
+    return [
+        (rep, _max_report(rho, distance, c_max, d_max))
+        for (rho, distance), rep, c_max, d_max in zip(cases, out[::3], out[1::3], out[2::3])
     ]
-    return tuple(_run(_lockstep(tasks), functools.partial(minimize_diags, distance=distance, cfg=opt)))

@@ -346,13 +346,13 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _check_bipartite(m: np.ndarray, dims):
-    da, db = int(dims[0]), int(dims[1])
-    if da < 1 or db < 1 or da * db != m.shape[0]:
-        raise ValidationError(
-            "dimension", message=f"dims {dims} incompatible with matrix of size {m.shape[0]}"
-        )
-    return da, db
+def _check_bipartite(dims, dim: int) -> tuple:
+    """The factor dimensions (d_A, d_B) of a ``dim``-dimensional bipartite
+    operator: two integers of at least 1 whose product is ``dim``."""
+    factors = tuple(int(f) for f in dims)
+    if len(factors) != 2 or min(factors) < 1 or factors[0] * factors[1] != dim:
+        raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
+    return factors
 
 
 def partial_trace(rho, keep: int, dims) -> np.ndarray:
@@ -360,7 +360,7 @@ def partial_trace(rho, keep: int, dims) -> np.ndarray:
     for the first (most significant) subsystem, 1 for the second."""
     m = as_matrix(rho)
     _require_square(m)
-    da, db = _check_bipartite(m, dims)
+    da, db = _check_bipartite(dims, m.shape[0])
     t = m.reshape(da, db, da, db)
     if keep == 0:
         return np.einsum("ijkj->ik", t)
@@ -373,7 +373,7 @@ def partial_transpose(rho, sub: int, dims) -> np.ndarray:
     """Transpose one tensor factor; an involution."""
     m = as_matrix(rho)
     _require_square(m)
-    da, db = _check_bipartite(m, dims)
+    da, db = _check_bipartite(dims, m.shape[0])
     t = m.reshape(da, db, da, db)
     if sub == 0:
         t = t.transpose(2, 1, 0, 3)

@@ -213,7 +213,7 @@ def _marginal_entropies(mats, dims) -> tuple:
     """(S(rho_A), S(rho_B)) in bits, two arrays, over a (N, d, d) stack of
     bipartite states: one eigvalsh per stack of marginals."""
     m = as_matrix(mats)
-    da, db = linalg._check_bipartite(m[0], dims)
+    da, db = linalg._check_bipartite(dims, m.shape[-1])
     t = m.reshape(-1, da, db, da, db)
     ra = np.einsum("nijkj->nik", t)
     rb = np.einsum("nijik->njk", t)

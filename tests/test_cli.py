@@ -25,14 +25,19 @@ from cohpure.states import diagonal, maximally_mixed, pure, random_density
 
 GOLDEN = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("UPDATE_GOLDENS") == "1"
+# the directory holding the cohpure package this process imported, so the
+# CLI under test is that package whether or not cohpure is installed
+PACKAGE_ROOT = str(Path(climod.__file__).resolve().parents[1])
 
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cohpure", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

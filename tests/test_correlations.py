@@ -21,7 +21,7 @@ from cohpure.correlations import (
 )
 from cohpure.linalg import DomainError, ValidationError, haar_unitary, kron, stream
 from cohpure.purity import p_distance
-from cohpure.simplex import MENU, SimplexOptConfig
+from cohpure.simplex import MENU, SimplexOptConfig, get_distance
 from cohpure.states import (
     _trusted,
     diagonal,
@@ -227,22 +227,26 @@ class TestLockstepSearch:
         assert rep.d_max_lower == want.best_value
 
     @pytest.mark.parametrize("distance", ["trace_norm", "one_minus_fidelity"])
-    def test_task_matches_plain_objective(self, distance):
-        # the discord searches as a task that yields its stacks for
-        # minimization: the same OptResults as _maximize_all, and its first
-        # round's minima are those of the candidates
+    def test_task_matches_plain_objective(self, distance, monkeypatch):
+        # the discord searches as a task driven by _lockstep: the same
+        # OptResults as _maximize_all, and its first round's minima are
+        # those of the candidates
         rng = stream(48)
         states_ = [random_density(4, rank, rng) for rank in (1, 2, 4)]
         mats = np.stack([rho.mat for rho in states_])
         budget = Budget(2, 3)
         stacks = []
+        original = correlations.minimize_diags
 
-        def minimize(stack):
+        def minimize(stack, *args):
             stacks.append(stack)
-            return correlations.minimize_diags(stack, distance, ULTRA_OPT)
+            return original(stack, *args)
 
-        task = correlations._discord_searches(mats, budget, [stream(49) for _ in states_], (2, 2))
-        got, first = correlations._run(task, minimize)
+        monkeypatch.setattr(correlations, "minimize_diags", minimize)
+        streams = [stream(49) for _ in states_]
+        task = correlations._minima_search(mats, budget, streams, (2, 2), get_distance(distance), -1)
+        ((got, first),) = correlations._lockstep([task], ULTRA_OPT)
+        monkeypatch.undo()
         want = correlations._maximize_all(
             correlations._neg_coherence(distance, ULTRA_OPT), states_, budget, [stream(49) for _ in states_], (2, 2)
         )
@@ -253,6 +257,27 @@ class TestLockstepSearch:
             assert np.array_equal(a.best_unitary, b.best_unitary)
         for a, b in zip(first, correlations.minimize_diags(stacks[0], distance, ULTRA_OPT), strict=True):
             assert a.value == b.value and np.array_equal(a.q, b.q) and a.evals == b.evals
+
+    def test_task_list_matches_one_search_per_pair(self):
+        # the theorem2 suite's searches: every (state, distance) pair of
+        # d = 2..6 as one task on one shared stream, each round minimized
+        # per (distance, d), against one unitary_maximize per pair in turn
+        states_ = [random_density(d, rank, stream(46)) for d in range(2, 7) for rank in (1, d)]
+        cases = [
+            (rho, get_distance(name), Budget(2, 2) if rho.dim <= 4 else Budget(3, 0)) for rho in states_ for name in MENU
+        ]
+        rng = stream(47)
+        got = correlations._lockstep(
+            [correlations._minima_search(rho.mat[None], budget, [rng], None, dist, 1) for rho, dist, budget in cases],
+            ULTRA_OPT,
+        )
+        rng = stream(47)
+        for ((a,), _), (rho, dist, budget) in zip(got, cases, strict=True):
+            b = unitary_maximize(lambda ss, _d=dist: c_distances(ss, _d, ULTRA_OPT), rho, budget, rng)
+            assert a.best_value == b.best_value and a.evals == b.evals
+            assert a.improved_by_refinement == b.improved_by_refinement
+            assert np.array_equal(a.best_unitary, b.best_unitary)
+        assert any(a.improved_by_refinement > 0 for ((a,), _) in got)
 
 
 def _assert_same_reports(got, want):
@@ -309,6 +334,21 @@ class TestHierarchyChecks:
             return run(rho, dims, distance, Budget(0, 3), stream(56), Budget(0, 3), stream(57), Budget(1, 0), ULTRA_OPT)
 
         _assert_same_reports(call(correlations.hierarchy_checks), call(_one_then_other))
+
+    def test_list_form_equals_one_call_per_pair(self):
+        # every (state, distance) pair in lockstep on one shared stream, as
+        # the theorem2 suite runs them, against one call per pair in turn
+        rng = stream(58)
+        cases = [(random_density(4, rank, rng), name) for rank in (1, 2, 4) for name in MENU]
+
+        def budgets(rng):
+            return Budget(2, 1), rng, Budget(1, 1), rng, Budget(1, 0), ULTRA_OPT
+
+        got = correlations._hierarchy_checks(cases, (2, 2), *budgets(stream(59)))
+        rng = stream(59)
+        want = [correlations.hierarchy_checks(rho, (2, 2), name, *budgets(rng)) for rho, name in cases]
+        for a, b in zip(got, want, strict=True):
+            _assert_same_reports(a, b)
 
 
 def _oracle_step(d, i, j, kind, eps):
@@ -507,6 +547,34 @@ class TestCompositeCoherence:
         for dims in ((2, 3), (-2, -2)):
             with pytest.raises(ValidationError):
                 c_N(BELL, dims, "rel_entropy")
+
+
+class TestBipartiteDims:
+    """Every bipartite function takes its dims through one check: two
+    factors, each at least 1, whose product is the state's dimension."""
+
+    CALLS = {
+        "c_N": lambda rho, dims: c_N(rho, dims, "rel_entropy"),
+        "discord_upper": lambda rho, dims: discord_upper(rho, dims, "rel_entropy", Budget(1, 0), stream(70)),
+        "hierarchy_checks": lambda rho, dims: correlations.hierarchy_checks(
+            rho, dims, "rel_entropy", Budget(1, 0), stream(70), Budget(1, 0), stream(71), Budget(1, 0)
+        ),
+        "i_max_check": lambda rho, dims: i_max_check(rho, dims, Budget(1, 0), stream(70)),
+        "mutual_information": mutual_information,
+        "negativity": negativity,
+    }
+
+    @pytest.mark.parametrize(
+        "dim,dims",
+        [(4, (2, 2, 1)), (4, (4,)), (4, (-2, -2)), (4, (0, 4)), (9, (2, 2)), (4, (3, 3))],
+        ids=["three_factors", "one_factor", "negative_factors", "zero_factor", "product_below", "product_above"],
+    )
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejects_malformed_dims(self, call, dim, dims):
+        rho = random_density(dim, 2, stream(72))
+        with pytest.raises(ValidationError) as err:
+            self.CALLS[call](rho, dims)
+        assert err.value.invariant == "dimension"
 
 
 class TestDiscordUpper:

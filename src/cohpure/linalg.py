@@ -9,6 +9,7 @@ All logarithms are base 2. Divergences that legitimately diverge return
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,8 +349,13 @@ def kron(a, b) -> np.ndarray:
 
 def _check_bipartite(dims, dim: int) -> tuple:
     """The factor dimensions (d_A, d_B) of a ``dim``-dimensional bipartite
-    operator: two integers of at least 1 whose product is ``dim``."""
-    factors = tuple(int(f) for f in dims)
+    operator: two integers of at least 1 whose product is ``dim``. Python
+    and numpy integers pass; any other factor (2.7, "2") is rejected, not
+    truncated."""
+    try:
+        factors = tuple(operator.index(f) for f in dims)
+    except TypeError:
+        factors = ()
     if len(factors) != 2 or min(factors) < 1 or factors[0] * factors[1] != dim:
         raise ValidationError("dimension", message=f"dims {dims} incompatible with dim {dim}")
     return factors

@@ -15,15 +15,18 @@ computes its own values, and the Newton path reads no config. The states
 of every other distance run one exponentiated-gradient mirror descent
 together, with multiple starts each (Dirichlet draws plus the dephased
 state and the uniform point), per-row step halving on non-improvement, and
-monotone acceptance. Either way the returned value never exceeds the
+monotone acceptance. The fidelity's mirror descent is finished by the same
+Newton loop on the barrier of its concave Tr sqrt B(q), grouped by support
+rank, and each state keeps the lower of the two points under mirror
+descent's evaluator. Either way the returned value never exceeds the
 objective at the uniform or the dephased point, which downstream code
 relies on for certified upper bounds. Rows never interact, so each state's
 result is bit for bit that of a run on its own, and names its method. The
 distances' ``diag_objective`` evaluators serve mirror descent and the
-tests, where mirror descent, with the trace norm's smoothing schedule and
-SLSQP polish, is the oracle for the closed forms and the Newton solver,
-and a dense grid search over the simplex the independent verification
-oracle at small dimension.
+tests, where mirror descent, with the trace norm's smoothing schedule, is
+the oracle for the closed forms and the Newton solver, and a dense grid
+search over the simplex the independent verification oracle at small
+dimension. Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -60,9 +63,15 @@ _FLOOR = 1e-12
 _REL_TOL = 1e-10
 _STEP0 = 1.0
 _MIN_STEP = 1e-12
-# barrier weights of the trace norm's Newton homotopy, largest first; the
-# smoothing and the barrier each bias the value by at most d * mu
+# barrier weights of the trace norm's and the fidelity's Newton homotopies,
+# largest first; the smoothing and the barrier each bias the value by at
+# most d * mu
 _BARRIER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+# the fidelity's Newton finish starts from mirror descent's best point mixed
+# with _WARM_MIX of the uniform point, which keeps it off the faces, and runs
+# the weights from 1e-6 down
+_WARM_MIX = 0.1
+_WARM_BARRIER = _BARRIER[2:]
 # a stage ends once the squared Newton decrement falls below _DECREMENT * mu,
 # or below _ROUNDOFF * |f_mu|, where no line search can resolve a decrease
 _DECREMENT = 1e-3
@@ -86,10 +95,6 @@ class Distance:
     # annealing schedule of smoothing widths for non-smooth objectives;
     # empty for objectives whose gradients are already well behaved
     smoothing = ()
-    # constrained quasi-Newton finish: needed where mirror descent is slow
-    # (kink valleys, and vertex optima that multiplicative updates only
-    # reach asymptotically)
-    needs_polish = False
 
     def between(self, rho, sigma) -> float:
         raise NotImplementedError
@@ -118,6 +123,14 @@ class Distance:
         """The convex objective that :func:`_simplex_newton` minimizes for
         the (N, d, d) stack ``mats``, or None, and :func:`minimize_diags`
         runs mirror descent."""
+        return None
+
+    def newton_finish(self, mats, evaluate, best):
+        """One SimplexResult per state of the (N, d, d) stack ``mats`` from a
+        Newton run that finishes mirror descent's search from its best
+        points ``best`` (N, d) where ``SimplexOptConfig.polish`` is set, its
+        points valued by mirror descent's evaluator ``evaluate``; None for a
+        distance without one."""
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
@@ -191,7 +204,6 @@ class SchattenDistance(Distance):
             # It runs the trace norm only as the tests' oracle:
             # minimize_diags sends it to _simplex_newton
             self.smoothing = (1e-2, 1e-4, 1e-6, 1e-8, 0.0)
-            self.needs_polish = True
 
     def between(self, rho, sigma):
         return linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), self.p)
@@ -257,8 +269,6 @@ def _p_norm(a, p: float):
 
 class OneMinusFidelityDistance(Distance):
     name = "one_minus_fidelity"
-    # pure states put the optimum on a simplex vertex
-    needs_polish = True
 
     def between(self, rho, sigma):
         return 1.0 - linalg.fidelity(rho, sigma)
@@ -288,6 +298,11 @@ class OneMinusFidelityDistance(Distance):
         q = np.clip(np.real(np.diagonal(m)), 0.0, None)
         q[i], q[j] = (t + root) * (1.0 + s) / 4.0, (t + root) * (1.0 - s) / 4.0
         return float(np.sum(t - root) / 2.0), q / q.sum()
+
+    def newton_finish(self, mats, evaluate, best):
+        # pure states put the optimum on a simplex vertex, which mirror
+        # descent's multiplicative steps reach only asymptotically
+        return _fidelity_finish(mats, evaluate, best)
 
     def diag_objective(self, mats, mu: float = 0.0):
         sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
@@ -471,8 +486,9 @@ class SimplexOptConfig:
     forms and the Newton solver of the trace norm and of sandwiched order 2
     ignore them. ``restarts`` counts the Dirichlet starts that mirror
     descent adds on top of the always-included dephased and uniform points;
-    ``polish`` enables the SLSQP finish for distances that need it (the
-    fidelity, whose pure-state optima sit on simplex vertices)."""
+    ``polish`` enables the Newton finish of distances that have one
+    (:meth:`Distance.newton_finish`: the fidelity, whose pure-state optima
+    sit on simplex vertices)."""
 
     restarts: int = 20
     max_iter: int = 5000
@@ -652,11 +668,20 @@ def _barrier_derivatives(lam, vec, Q, mu):
         same = m2 * (a + b) / (sa * sb * (a * sb + b * sa))
         split = (h[:, :, None] - h[:, None, :]) / (a - b)
     gam = np.where(a * b > 0, same, np.where(a != b, split, m2 / sa**3))
-    P = np.conj(vec)[:, :, :, None] * vec[:, :, None, :]
-    H = np.einsum("rikl,rjkl->rij", P * gam[:, None], np.conj(P)).real
+    H = _daleckii_krein(vec, gam)
     idx = np.arange(Q.shape[1])
     H[:, idx, idx] += m / Q**2
     return g, H, g_mu
+
+
+def _daleckii_krein(vec, gam):
+    """H_ij = Re sum_kl G_kl conj(V_ik) V_il V_jk conj(V_jl) rowwise: the
+    Hessian in q of sum_k phi(b_k) over the eigenvalues b of a pencil that
+    is affine in q, given the pencil's eigenvectors as seen from q (the
+    (R, d, r) stack V) and the divided differences G of phi' (Daleckii--
+    Krein; Bhatia, Matrix Analysis, ch. V)."""
+    P = np.conj(vec)[:, :, :, None] * vec[:, :, None, :]
+    return np.einsum("rikl,rjkl->rij", P * gam[:, None], np.conj(P)).real
 
 
 def _newton_step(g, H, fixed):
@@ -762,14 +787,93 @@ class _RenyiTwoForm:
         return np.where(outside, np.inf, _renyi_value(self._form(s, Q)[3], 2.0))
 
 
+class _FidelityBarrier:
+    """The fidelity's part of :func:`_simplex_newton`, for a stack of
+    states of one support rank r: with rho = U diag(p) U^dag on its support
+    (eigenvalues above ``linalg.DUST_REL`` times the largest) and
+    w_i = diag(sqrt p) U^dag e_i, the pencil B(q) = sum_i q_i w_i w_i^dag
+    is an r x r matrix, positive definite for q > 0 and unitarily similar
+    to sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
+    Tr sqrt B(q), concave in q. The barrier f_mu(q) = -Tr sqrt B -
+    mu sum_i log q_i runs for each weight mu of ``_WARM_BARRIER`` in turn,
+    from the rows ``start``. With b, V = eigh(B) and X = Z V, Z the
+    (d, r) stack of rows conj(w_i), the gradient is
+    -1/2 sum_k |X_ik|^2 / sqrt(b_k) - mu / q_i, and the Hessian the
+    Daleckii--Krein form of -sqrt with G_kl = 1 / (2 sqrt(b_k) sqrt(b_l)
+    (sqrt(b_k) + sqrt(b_l))), plus mu / q_i^2. The exact value is the
+    evaluator ``exact`` (mirror descent's ``diag_objective``), so the
+    finisher's point is scored as mirror descent's are."""
+
+    schedule = _WARM_BARRIER
+
+    def __init__(self, mats, Z, exact, start):
+        self.mats = mats
+        self.Z = Z
+        self.exact = exact
+        self.start = start
+        self.fixed = np.zeros(mats.shape[:2], dtype=bool)
+
+    def _pencil(self, s, Q):
+        Z = self.Z[s]
+        return np.einsum("rik,ri,ril->rkl", np.conj(Z), Q, Z)
+
+    def _roots(self, b):
+        # eigenvalues of B below the eigensolver's resolution read as that
+        # floor, so no root, divided difference or inverse is 0 or inf
+        return np.sqrt(np.maximum(b, _ROUNDOFF * b[:, -1:]))
+
+    def derivatives(self, s, Q, mu):
+        b, V = np.linalg.eigh(self._pencil(s, Q))
+        root = self._roots(b)
+        X = self.Z[s] @ V
+        m = mu[:, None]
+        f = -root.sum(axis=1) - mu * np.sum(np.log(Q), axis=1)
+        g = -0.5 * np.einsum("rik,rk->ri", np.abs(X) ** 2, 1.0 / root) - m / Q
+        ra, rb = root[:, :, None], root[:, None, :]
+        H = _daleckii_krein(X, 1.0 / (2.0 * ra * rb * (ra + rb)))
+        idx = np.arange(Q.shape[1])
+        H[:, idx, idx] += m / Q**2
+        return f, g, H, -1.0 / Q
+
+    def values(self, s, Q, mu):
+        b = np.linalg.eigvalsh(self._pencil(s, Q))
+        return -np.sum(self._roots(b), axis=1) - mu * np.sum(np.log(Q), axis=1)
+
+
+def _fidelity_finish(mats, evaluate, best) -> list:
+    """The fidelity's Newton finish of mirror descent: :func:`_simplex_newton`
+    on :class:`_FidelityBarrier` for the states of each support rank of the
+    (N, d, d) stack ``mats`` in turn, from mirror descent's best points
+    ``best`` (N, d), each point valued by ``evaluate`` (mirror descent's
+    evaluator over the stack); one SimplexResult per state. A group's rows
+    never meet another's, so each state gets the result of a run on its
+    own."""
+    start = (1.0 - _WARM_MIX) * best + _WARM_MIX / mats.shape[-1]
+    p, U = np.linalg.eigh(mats)
+    ranks = np.sum(p > linalg.DUST_REL * p[:, -1:], axis=1)
+    results = [None] * len(mats)
+    for r in np.unique(ranks):
+        idx = np.flatnonzero(ranks == r)
+        # eigh sorts ascending: the support is the last r eigenpairs
+        Z = U[idx, :, -r:] * np.sqrt(p[idx, None, -r:])
+
+        def exact(s, Q, idx=idx):
+            return evaluate(Q, idx[s], below=np.full(Q.shape[0], -np.inf))[0]
+
+        for n, res in zip(idx, _simplex_newton(_FidelityBarrier(mats[idx], Z, exact, start[idx]))):
+            results[n] = res
+    return results
+
+
 def _simplex_newton(objective) -> list:
     """min_q f(q) over the simplex for a stack of states by damped Newton
     steps on a convex objective (:class:`_TraceNormBarrier`,
-    :class:`_RenyiTwoForm`). The objective supplies the stack ``mats``, the
-    ``start``, the stage ``schedule`` of barrier weights mu, the indices
-    ``fixed`` at q_i = 0, f_mu with its gradient, Hessian and the gradient's
-    derivative in mu (``derivatives``), f_mu alone (``values``) and the
-    exact value (``exact``), all computed by the objective itself. For each
+    :class:`_RenyiTwoForm`, :class:`_FidelityBarrier`). The objective
+    supplies the stack ``mats``, the ``start``, the stage ``schedule`` of
+    barrier weights mu, the indices ``fixed`` at q_i = 0, f_mu with its
+    gradient, Hessian and the gradient's derivative in mu
+    (``derivatives``), f_mu alone (``values``) and the exact value
+    (``exact``), all computed by the objective itself. For each
     weight in turn, a stage ends when the squared Newton decrement falls
     below ``_DECREMENT * mu``, or below what the round-off of f_mu can
     resolve; the next stage starts from the point a tangent step along the
@@ -845,7 +949,11 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     with warm starts. The final selection always re-includes each state's
     raw starting points under the true objective, so the result never
     exceeds the objective at the uniform or dephased starts regardless of
-    where the smoothed stages wandered.
+    where the smoothed stages wandered. With ``cfg.polish`` set, a distance's
+    :meth:`Distance.newton_finish` runs on the stack, and each state keeps
+    the finisher's point (method ``"newton"``) where its value is lower,
+    adding the finisher's evaluations either way; ``converged`` and the
+    iterations stay mirror descent's.
     """
     mats = _stack(mats)
     starts = _starts(mats, cfg)
@@ -873,50 +981,19 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     vals = vals[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
+    finished = distance.newton_finish(mats, objectives[0.0], pool[np.arange(N), best]) if cfg.polish else None
     results = []
     for n in range(N):
-        q_best, v_best, ev = pool[n, best[n]].copy(), float(vals[n, best[n]]), 0
-        if cfg.polish and distance.needs_polish:
-            q_best, v_best, ev = _slsqp_polish(objectives[0.0], n, q_best, v_best)
-        results.append(
-            SimplexResult(v_best, q_best, bool(converged[n]), int(total_it[n]), int(total_ev[n]) + ev, "mirror_descent")
+        res = SimplexResult(
+            float(vals[n, best[n]]), pool[n, best[n]].copy(), bool(converged[n]), int(total_it[n]), int(total_ev[n])
         )
+        if finished is not None:
+            fin = finished[n]
+            res = replace(res, evals=res.evals + fin.evals)
+            if fin.value < res.value:
+                res = replace(res, value=fin.value, q=fin.q, method="newton")
+        results.append(res)
     return results
-
-
-def _slsqp_polish(evaluate, n, q, v):
-    """Constrained quasi-Newton finish of state ``n`` for non-smooth
-    distances: mirror descent lands near the kink valley of the trace norm
-    but zigzags inside it; SLSQP closes the last ~1e-5. Acceptance stays
-    monotone."""
-    from scipy.optimize import minimize as _scipy_minimize
-
-    d = q.size
-
-    def fun(x):
-        return float(evaluate(np.clip(x, 0.0, None)[None, :], [n], below=np.full(1, -np.inf))[0][0])
-
-    def jac(x):
-        return evaluate(np.clip(x, 1e-14, None)[None, :], [n])[1][0]
-
-    res = _scipy_minimize(
-        fun,
-        q,
-        jac=jac,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * d,
-        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(d)}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    x = np.clip(res.x, 0.0, None)
-    total = x.sum()
-    if not np.isfinite(total) or total <= 0:
-        return q, v, int(res.nfev)
-    x /= total
-    vx = fun(x)
-    if vx < v:
-        return x, vx, int(res.nfev)
-    return q, v, int(res.nfev)
 
 
 # ---------------------------------------------------------------------------

@@ -100,25 +100,28 @@ class TestCDistance:
             rho = random_density(d, int(rng.integers(1, d + 1)), rng)
             assert c_distance(rho, name, FAST_OPT) <= c_max_closed(rho, name) + 1e-9
 
-    def test_newton_and_closed_forms_import_no_scipy(self):
-        # only the fidelity's SLSQP polish imports scipy, whose cold import
-        # costs more than the rest of a short CLI call
+    def test_full_menu_imports_no_scipy(self):
+        # scipy is a test dependency only: its cold import costs more than
+        # the rest of a short CLI call. The fidelity's Newton finish runs on
+        # both of its states, the dense rank-2 one included
         code = """
 import sys
 import cohpure
 from cohpure.coherence import c_alpha_result, c_distance_result
 from cohpure.linalg import stream
+from cohpure.simplex import MENU
 from cohpure.states import random_density
 rho = random_density(4, 4, stream(5))
-results = [c_distance_result(rho, "trace_norm"), c_alpha_result(rho, 2.0), c_alpha_result(rho, 0.5),
-           c_distance_result(rho, "schatten_2"), c_distance_result(rho, "rel_entropy")]
-print([r.method for r in results], [m for m in sys.modules if m.split(".")[0] == "scipy"])
+results = [*(c_distance_result(rho, name) for name in MENU),
+           c_distance_result(random_density(4, 2, stream(6)), "one_minus_fidelity"),
+           c_alpha_result(rho, 2.0), c_alpha_result(rho, 0.5)]
+print([r.method for r in results], [m for m in sys.modules if m.startswith("scipy")])
 """
         paths = [str(Path(cohpure.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        methods = ["newton", "newton", "closed_form", "closed_form", "closed_form"]
+        methods = ["closed_form", "newton", "closed_form", "mirror_descent", "mirror_descent", "newton", "closed_form"]
         assert proc.stdout.strip() == f"{methods} []"
 
 

@@ -576,6 +576,24 @@ class TestBipartiteDims:
             self.CALLS[call](rho, dims)
         assert err.value.invariant == "dimension"
 
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), ("2", "2")], ids=["fractional", "strings"])
+    @pytest.mark.parametrize("call", ["c_N", "mutual_information", "negativity"])
+    def test_rejects_factors_that_are_not_integers(self, call, dims):
+        # int() would read both as (2, 2), which fits a 4-dim state
+        rho = random_density(4, 2, stream(72))
+        with pytest.raises(ValidationError) as err:
+            self.CALLS[call](rho, dims)
+        assert err.value.invariant == "dimension"
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (np.int64(2), np.int32(2)), np.array([2, 2])], ids=["int", "numpy", "array"]
+    )
+    def test_accepts_python_and_numpy_integers(self, dims):
+        rho = random_density(4, 2, stream(72))
+        assert c_N(rho, dims, "rel_entropy") == c_N(rho, (2, 2), "rel_entropy")
+        assert negativity(rho, dims) == negativity(rho, (2, 2))
+        assert mutual_information(rho, dims) == mutual_information(rho, (2, 2))
+
 
 class TestDiscordUpper:
     def test_product_of_diagonals_is_free(self):

@@ -26,7 +26,7 @@ distances' ``diag_objective`` evaluators serve mirror descent and the
 tests, where mirror descent, with the trace norm's smoothing schedule, is
 the oracle for the closed forms and the Newton solver, and a dense grid
 search over the simplex the independent verification oracle at small
-dimension. Nothing here imports scipy.
+dimension.
 """
 
 from __future__ import annotations

@@ -261,9 +261,9 @@ def cmd_hierarchy(args) -> int:
     if sf.dims is not None and sf.dims != dims:
         raise DomainError(f"--dims {args.dims} disagrees with the state file's dims {list(sf.dims)}")
     budget = Budget(args.restarts, args.refine)
-    # the chain inequalities are certified at any simplex budget; keep the
-    # inner minimizations light so nested searches stay interactive
-    opt = SimplexOptConfig(restarts=2, max_iter=600, polish=False, seed=args.seed)
+    # unpolished, every menu distance is a closed form or a Newton run: the
+    # fidelity's Newton solve replaces its mirror descent
+    opt = SimplexOptConfig(polish=False)
     rep, mrep = correlations.hierarchy_checks(
         rho, dims, args.distance, budget=budget, rng=stream(args.seed),
         max_budget=Budget(max(args.restarts // 2, 1), max(args.refine // 2, 0)), max_rng=stream(args.seed + 1),

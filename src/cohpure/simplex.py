@@ -15,12 +15,14 @@ computes its own values, and the Newton path reads no config. The states
 of every other distance run one exponentiated-gradient mirror descent
 together, with multiple starts each (Dirichlet draws plus the dephased
 state and the uniform point), per-row step halving on non-improvement, and
-monotone acceptance. The fidelity's mirror descent is finished by the same
-Newton loop on the barrier of its concave Tr sqrt B(q), grouped by support
-rank, and each state keeps the lower of the two points under mirror
-descent's evaluator. Either way the returned value never exceeds the
-objective at the uniform or the dephased point, which downstream code
-relies on for certified upper bounds. Rows never interact, so each state's
+monotone acceptance. The fidelity runs the same Newton loop on the barrier
+of its concave Tr sqrt B(q), grouped by support rank, on one of two paths
+that ``SimplexOptConfig.polish`` selects: set, it finishes mirror descent,
+and each state keeps the lower of the two points under mirror descent's
+evaluator; unset, it runs alone from the trace norm's start. Either way
+the returned value never exceeds the objective at the uniform or the
+dephased point, which downstream code relies on for certified upper
+bounds. Rows never interact, so each state's
 result is bit for bit that of a run on its own, and names its method. The
 distances' ``diag_objective`` evaluators serve mirror descent and the
 tests, where mirror descent, with the trace norm's smoothing schedule, is
@@ -82,8 +84,10 @@ _ARMIJO = 0.25
 # of the benchmark's workloads takes more than 46
 _NEWTON_STEPS = 200
 # sandwiched order 2: an index i with A_ii = 0 whose row adds at most half
-# an ulp to T at the optimum is held at q_i = 0 (see _RenyiTwoForm)
+# an ulp to T at the optimum is held at q_i = 0, and so is a set of them
+# linked only among themselves (see _RenyiTwoForm)
 _NEGLIGIBLE_ROW = (np.finfo(float).eps / 6.0) ** 1.5
+_NEGLIGIBLE_SET = (np.finfo(float).eps / 6.0) ** 2
 
 
 class Distance:
@@ -125,12 +129,12 @@ class Distance:
         runs mirror descent."""
         return None
 
-    def newton_finish(self, mats, evaluate, best):
+    def newton_solve(self, mats, best=None, evaluate=None):
         """One SimplexResult per state of the (N, d, d) stack ``mats`` from a
         Newton run that finishes mirror descent's search from its best
-        points ``best`` (N, d) where ``SimplexOptConfig.polish`` is set, its
-        points valued by mirror descent's evaluator ``evaluate``; None for a
-        distance without one."""
+        points ``best`` (N, d), valued by its evaluator ``evaluate``, where
+        ``SimplexOptConfig.polish`` is set, and that replaces the search
+        where it is unset (``best`` None); None for a distance without one."""
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
@@ -299,10 +303,10 @@ class OneMinusFidelityDistance(Distance):
         q[i], q[j] = (t + root) * (1.0 + s) / 4.0, (t + root) * (1.0 - s) / 4.0
         return float(np.sum(t - root) / 2.0), q / q.sum()
 
-    def newton_finish(self, mats, evaluate, best):
+    def newton_solve(self, mats, best=None, evaluate=None):
         # pure states put the optimum on a simplex vertex, which mirror
         # descent's multiplicative steps reach only asymptotically
-        return _fidelity_finish(mats, evaluate, best)
+        return _fidelity_newton(mats, evaluate or self.diag_objective(mats), best)
 
     def diag_objective(self, mats, mu: float = 0.0):
         sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
@@ -485,10 +489,11 @@ class SimplexOptConfig:
     """Mirror descent's settings; only mirror descent reads them. The closed
     forms and the Newton solver of the trace norm and of sandwiched order 2
     ignore them. ``restarts`` counts the Dirichlet starts that mirror
-    descent adds on top of the always-included dephased and uniform points;
-    ``polish`` enables the Newton finish of distances that have one
-    (:meth:`Distance.newton_finish`: the fidelity, whose pure-state optima
-    sit on simplex vertices)."""
+    descent adds on top of the always-included dephased and uniform points.
+    ``polish`` selects the path of a distance with a Newton run
+    (:meth:`Distance.newton_solve`: the fidelity, whose pure-state optima
+    sit on simplex vertices): set, mirror descent finished by the Newton
+    run; unset, the Newton run alone, which reads no other field."""
 
     restarts: int = 20
     max_iter: int = 5000
@@ -609,10 +614,11 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     Each state takes the distance's closed form where one applies; the
     others run as one batch, through :func:`_simplex_newton` where the
     distance gives a ``newton_objective`` (the trace norm and sandwiched
-    order 2) and :func:`_mirror_descent` for every other distance, in
-    which every state gets the value, q, iterations, evaluations and
-    convergence flag of a run on its own. A non-finite value is never
-    reported as converged, and a value in [-1e-12, 0) is reported as 0.
+    order 2) or, with ``cfg.polish`` unset, a ``newton_solve`` (the
+    fidelity), and :func:`_mirror_descent` otherwise, in which every state
+    gets the value, q, iterations, evaluations and convergence flag of a
+    run on its own. A non-finite value is never reported as converged, and
+    a value in [-1e-12, 0) is reported as 0.
     """
     distance = get_distance(distance)
     mats = _stack(mats)
@@ -622,10 +628,11 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
     ]
     rest = [n for n, res in enumerate(results) if res is None]
     if rest:
+        cfg = cfg or SimplexOptConfig()
         if (objective := distance.newton_objective(mats[rest])) is not None:
             solved = _simplex_newton(objective)
-        else:
-            solved = _mirror_descent(mats[rest], distance, cfg or SimplexOptConfig())
+        elif cfg.polish or (solved := distance.newton_solve(mats[rest])) is None:
+            solved = _mirror_descent(mats[rest], distance, cfg)
         for n, res in zip(rest, solved):
             results[n] = res
     return [_reported(res) for res in results]
@@ -747,7 +754,12 @@ class _RenyiTwoForm:
     3 T^(1/3) b^(2/3), b = sum_j A_ij w_j, and T >= 1 and w_j <= sqrt(T) /
     |rho_jj| bound it by 3 T r^(2/3), r = sum_j A_ij / |rho_jj|, which
     ``_NEGLIGIBLE_ROW`` keeps under half an ulp of T; an empty row, or
-    one whose squares underflow to 0, has r = 0. The exact value is
+    one whose squares underflow to 0, has r = 0. That bound fails where
+    rho_jj = 0, so the zero-diagonal indices S linked only among
+    themselves are held at 0 together: with mass m on S the minimum is at
+    most T / (1 - m) + c / m, c = |S| sum_S A (S's form at its uniform
+    point), so S raises T by at most 2 sqrt(c T) + c <= 3 T sqrt(c), which
+    ``_NEGLIGIBLE_SET`` keeps under half an ulp of T. The exact value is
     log2 T, and +inf where q_i = 0 off those ``fixed`` indices: the
     support rule of the sandwiched divergences, read off the indices the
     solver holds at 0."""
@@ -760,7 +772,12 @@ class _RenyiTwoForm:
         diag = np.sqrt(np.diagonal(self.A, axis1=1, axis2=2))
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(self.A > 0, self.A / diag[:, None, :], 0.0).sum(axis=2)
-        self.fixed = (diag == 0) & (r <= _NEGLIGIBLE_ROW)
+        # S shrinks to the zero-diagonal indices with no link outside it
+        S = diag == 0
+        for _ in range(mats.shape[-1]):
+            S = S & ~np.any((self.A > 0) & ~S[:, None, :], axis=2)
+        c = np.einsum("ni,nij,nj->n", S, self.A, S) * S.sum(axis=1)
+        self.fixed = (diag == 0) & (r <= _NEGLIGIBLE_ROW) | S & (c <= _NEGLIGIBLE_SET)[:, None]
         free = ~self.fixed
         self.start = (_dephased(mats) + free / free.sum(axis=1, keepdims=True)) / 2.0
 
@@ -795,22 +812,21 @@ class _FidelityBarrier:
     is an r x r matrix, positive definite for q > 0 and unitarily similar
     to sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
     Tr sqrt B(q), concave in q. The barrier f_mu(q) = -Tr sqrt B -
-    mu sum_i log q_i runs for each weight mu of ``_WARM_BARRIER`` in turn,
-    from the rows ``start``. With b, V = eigh(B) and X = Z V, Z the
-    (d, r) stack of rows conj(w_i), the gradient is
-    -1/2 sum_k |X_ik|^2 / sqrt(b_k) - mu / q_i, and the Hessian the
-    Daleckii--Krein form of -sqrt with G_kl = 1 / (2 sqrt(b_k) sqrt(b_l)
+    mu sum_i log q_i runs for each weight mu of ``schedule`` in turn, from
+    the rows ``start``, both chosen by :func:`_fidelity_newton`. With
+    b, V = eigh(B) and X = Z V, Z the (d, r) stack of rows conj(w_i), the
+    gradient is -1/2 sum_k |X_ik|^2 / sqrt(b_k) - mu / q_i, and the Hessian
+    the Daleckii--Krein form of -sqrt with G_kl = 1 / (2 sqrt(b_k) sqrt(b_l)
     (sqrt(b_k) + sqrt(b_l))), plus mu / q_i^2. The exact value is the
-    evaluator ``exact`` (mirror descent's ``diag_objective``), so the
-    finisher's point is scored as mirror descent's are."""
+    evaluator ``exact`` (``diag_objective``), so the Newton point is
+    scored as mirror descent's are."""
 
-    schedule = _WARM_BARRIER
-
-    def __init__(self, mats, Z, exact, start):
+    def __init__(self, mats, Z, exact, start, schedule):
         self.mats = mats
         self.Z = Z
         self.exact = exact
         self.start = start
+        self.schedule = schedule
         self.fixed = np.zeros(mats.shape[:2], dtype=bool)
 
     def _pencil(self, s, Q):
@@ -840,15 +856,22 @@ class _FidelityBarrier:
         return -np.sum(self._roots(b), axis=1) - mu * np.sum(np.log(Q), axis=1)
 
 
-def _fidelity_finish(mats, evaluate, best) -> list:
-    """The fidelity's Newton finish of mirror descent: :func:`_simplex_newton`
-    on :class:`_FidelityBarrier` for the states of each support rank of the
-    (N, d, d) stack ``mats`` in turn, from mirror descent's best points
-    ``best`` (N, d), each point valued by ``evaluate`` (mirror descent's
-    evaluator over the stack); one SimplexResult per state. A group's rows
-    never meet another's, so each state gets the result of a run on its
-    own."""
-    start = (1.0 - _WARM_MIX) * best + _WARM_MIX / mats.shape[-1]
+def _fidelity_newton(mats, evaluate, best=None) -> list:
+    """The fidelity's Newton run: :func:`_simplex_newton` on
+    :class:`_FidelityBarrier` for the states of each support rank of the
+    (N, d, d) stack ``mats`` in turn, each point valued by ``evaluate``
+    (``diag_objective`` over the stack); one SimplexResult per state. Where
+    ``SimplexOptConfig.polish`` is set it finishes mirror descent from its
+    best points ``best`` (N, d), mixed with ``_WARM_MIX`` of the uniform
+    point, through ``_WARM_BARRIER``; where it is unset it is the solver,
+    from the trace norm's start (dephased + uniform) / 2 through all of
+    ``_BARRIER`` (``best`` None). A group's rows never meet another's, so
+    each state gets the result of a run on its own."""
+    d = mats.shape[-1]
+    if best is None:
+        start, schedule = (_dephased(mats) + 1.0 / d) / 2.0, _BARRIER
+    else:
+        start, schedule = (1.0 - _WARM_MIX) * best + _WARM_MIX / d, _WARM_BARRIER
     p, U = np.linalg.eigh(mats)
     ranks = np.sum(p > linalg.DUST_REL * p[:, -1:], axis=1)
     results = [None] * len(mats)
@@ -860,7 +883,8 @@ def _fidelity_finish(mats, evaluate, best) -> list:
         def exact(s, Q, idx=idx):
             return evaluate(Q, idx[s], below=np.full(Q.shape[0], -np.inf))[0]
 
-        for n, res in zip(idx, _simplex_newton(_FidelityBarrier(mats[idx], Z, exact, start[idx]))):
+        barrier = _FidelityBarrier(mats[idx], Z, exact, start[idx], schedule)
+        for n, res in zip(idx, _simplex_newton(barrier)):
             results[n] = res
     return results
 
@@ -950,7 +974,7 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     raw starting points under the true objective, so the result never
     exceeds the objective at the uniform or dephased starts regardless of
     where the smoothed stages wandered. With ``cfg.polish`` set, a distance's
-    :meth:`Distance.newton_finish` runs on the stack, and each state keeps
+    :meth:`Distance.newton_solve` runs on the stack, and each state keeps
     the finisher's point (method ``"newton"``) where its value is lower,
     adding the finisher's evaluations either way; ``converged`` and the
     iterations stay mirror descent's.
@@ -981,7 +1005,7 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     vals = vals[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
-    finished = distance.newton_finish(mats, objectives[0.0], pool[np.arange(N), best]) if cfg.polish else None
+    finished = distance.newton_solve(mats, pool[np.arange(N), best], objectives[0.0]) if cfg.polish else None
     results = []
     for n in range(N):
         res = SimplexResult(

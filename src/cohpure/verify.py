@@ -38,9 +38,9 @@ from .states import random_density
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES"]
 
 FAST_OPT = SimplexOptConfig(restarts=4, max_iter=800)
-# uniform + dephased starts only: enough for every certified upper-bound
-# sweep, since acceptance is monotone from those starts
-ULTRA_OPT = SimplexOptConfig(restarts=0, max_iter=300, polish=False)
+# the menu distances by closed form or Newton alone, for the nested sweeps:
+# the fidelity's Newton solve replaces its mirror descent
+ULTRA_OPT = SimplexOptConfig(polish=False)
 # the menu distances, then the divergences of c_alpha at orders 0.5 and 2
 MONOTONES = (*MENU, PetzAlphaDivergence(0.5), SandwichedAlphaDivergence(2.0))
 

@@ -441,6 +441,29 @@ class TestHierarchy:
         capsys.readouterr()
         assert sizes == [3 + 1 + 2 * 2, 2 * (4 + 4)]
 
+    def test_fidelity_runs_no_mirror_descent(self, tmp_path, capsys, monkeypatch):
+        # the command's unpolished fidelity solves every state without a
+        # closed form by Newton alone
+        path = tmp_path / "r2.json"
+        io.write_state(path, random_density(4, 2, stream(60)), dims=(2, 2))
+        methods = []
+        original = simplex.minimize_diags
+
+        def recorded(*args, **kwargs):
+            results = original(*args, **kwargs)
+            methods.extend(res.method for res in results)
+            return results
+
+        def refused(*args, **kwargs):
+            raise AssertionError("mirror descent ran")
+
+        monkeypatch.setattr(simplex, "_mirror_descent", refused)
+        monkeypatch.setattr(correlations, "minimize_diags", recorded)
+        assert climod.main(["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", "one_minus_fidelity",
+                            "--restarts", "2", "--refine", "1", "--seed", "61"]) == 0
+        capsys.readouterr()
+        assert "newton" in methods and set(methods) <= {"closed_form", "newton"}
+
     @pytest.mark.parametrize("distance,exact", [("trace_norm", 1.0), ("one_minus_fidelity", 0.5)])
     def test_bell_coherence_exact(self, state_files, distance, exact):
         # the Bell state is one 2x2 block on indices 0 and 3: a closed form

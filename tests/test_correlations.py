@@ -151,7 +151,7 @@ def _search_cases():
         for rank in (2, 4):
             seed = 70 + rank
             for cfg_name, opt in (
-                ("hierarchy", SimplexOptConfig(restarts=2, max_iter=600, polish=False, seed=seed)),
+                ("hierarchy", SimplexOptConfig(polish=False)),
                 ("default", None),
             ):
                 cases[f"discord_{distance}_rank{rank}_{cfg_name}"] = (

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohpure.coherence import c_alpha_result, mcms
-from cohpure.linalg import DomainError, haar_unitary, sandwiched_renyi, stream
+from cohpure.linalg import DomainError, fidelity, haar_unitary, sandwiched_renyi, stream
 from cohpure.simplex import (
     _EXP_CLIP,
     _MIN_STEP,
@@ -24,7 +25,7 @@ from cohpure.simplex import (
     _barrier_value,
     _dephased,
     _eg_stage,
-    _fidelity_finish,
+    _fidelity_newton,
     _grid_eval,
     _grid_points,
     _mirror_descent,
@@ -537,8 +538,9 @@ STACK_DISTANCES = [get_distance(name) for name in MENU] + [
 
 @pytest.mark.parametrize(
     "cfg",
-    # the short run stops some fidelity states at max_iter and not others;
-    # the Newton solver of the trace norm and of order 2 reads no config
+    # the short run caps mirror descent's iterations; the Newton solvers of
+    # the trace norm and of order 2 read no config, and neither does the
+    # fidelity's where the polish is unset
     [
         SimplexOptConfig(restarts=2, max_iter=600, polish=False),
         SimplexOptConfig(),
@@ -689,12 +691,12 @@ class TestGridOracle:
 
 
 @st.composite
-def trace_norm_stacks(draw):
-    """One to three states of one dimension d = 3..8 for the trace norm's
-    Newton solver: every rank, generic and degenerate spectra, states near
-    the maximally mixed state, and near-PSD matrices whose smallest
-    eigenvalues are round-off negatives."""
-    d = draw(st.integers(3, 8))
+def spectral_stacks(draw, max_d=8, negatives=st.floats(1e-16, 1e-12)):
+    """One to three states of one dimension d = 3..``max_d`` for the Newton
+    solvers: every rank, generic and degenerate spectra, states near the
+    maximally mixed state, and near-PSD matrices whose smallest eigenvalues
+    are round-off negatives, their moduli drawn from ``negatives``."""
+    d = draw(st.integers(3, max_d))
     mats = []
     for _ in range(draw(st.integers(1, 3))):
         rank = draw(st.integers(1, d))
@@ -705,7 +707,7 @@ def trace_norm_stacks(draw):
         spec = np.zeros(d)
         spec[:rank] = weights / weights.sum()
         if kind == "near_psd" and rank < d:
-            spec[rank:] = -draw(st.floats(1e-16, 1e-12))
+            spec[rank:] = -draw(negatives)
         u = haar_unitary(d, stream(draw(st.integers(0, 2**32 - 1))))
         m = (u * spec) @ u.conj().T
         if kind == "near_mixed":
@@ -716,7 +718,7 @@ def trace_norm_stacks(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(mats=trace_norm_stacks())
+@given(mats=spectral_stacks())
 def test_trace_norm_newton_properties(mats):
     dist = SchattenDistance(1.0)
     d = mats.shape[-1]
@@ -792,7 +794,7 @@ def test_fidelity_newton_finish_properties(mats):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         best = np.stack([res.q for res in _mirror_descent(mats, dist, replace(cfg, polish=False))])
-        finished = _fidelity_finish(mats, dist.diag_objective(mats), best)
+        finished = _fidelity_newton(mats, dist.diag_objective(mats), best)
         stacked = minimize_diags(mats, dist, cfg)
         solos = [minimize_diag(m, dist, cfg) for m in mats]
     for m, fin, res, solo in zip(mats, finished, stacked, solos, strict=True):
@@ -807,6 +809,61 @@ def test_fidelity_newton_finish_properties(mats):
         if abs(np.trace(m @ m).real - 1.0) <= 1e-12:
             gap = fin.value - (1.0 - float(np.real(np.diagonal(m)).max()))
             assert -PURE_BELOW <= gap <= PURE_ABOVE
+
+
+UNPOLISHED = SimplexOptConfig(polish=False)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_fidelity_newton_solve_on_pure_states(d):
+    # max_q F(psi, diag q) = max_i |psi_i|^2 at a vertex: the Newton point
+    # reaches it up to the barrier's bias, and the evaluator, whose
+    # sqrt(rho) carries eigenvalue dust, reads it within that dust
+    rng = stream(67 + d)
+    for _ in range(5):
+        psi = haar_unitary(d, rng)[:, 0]
+        rho = np.outer(psi, psi.conj())
+        res = minimize_diag(rho, "one_minus_fidelity", UNPOLISHED)
+        exact = 1.0 - float(np.max(np.abs(psi) ** 2))
+        assert res.method == "newton" and res.converged
+        assert abs(1.0 - fidelity(rho, np.diag(res.q)) - exact) <= 1e-10
+        assert abs(res.value - exact) <= 3e-8
+
+
+def test_fidelity_newton_solve_stack_of_mixed_ranks():
+    # the solve groups a stack by support rank, and each state gets the
+    # result of a run on its own
+    rng = stream(68)
+    dist = OneMinusFidelityDistance()
+    for d in (3, 4, 6):
+        mats = np.stack([random_density(d, rank, rng).mat for rank in (d, 1, 2, d - 1, 1, 2)])
+        for m, res in zip(mats, minimize_diags(mats, dist, UNPOLISHED), strict=True):
+            solo = minimize_diag(m, dist, UNPOLISHED)
+            assert res.value == solo.value and np.array_equal(res.q, solo.q)
+            assert (res.iterations, res.evals, res.converged, res.method) == (
+                solo.iterations, solo.evals, solo.converged, "newton"
+            )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mats=spectral_stacks(max_d=6, negatives=st.just(3e-11)))
+def test_fidelity_newton_solve_properties(mats):
+    # unpolished, no fidelity state runs mirror descent, and each value lies
+    # between 0 and the evaluator's value at the uniform and dephased points
+    dist = OneMinusFidelityDistance()
+    d = mats.shape[-1]
+    with warnings.catch_warnings(), mock.patch("cohpure.simplex._mirror_descent", side_effect=AssertionError):
+        warnings.simplefilter("error", RuntimeWarning)
+        results = minimize_diags(mats, dist, UNPOLISHED)
+        corners = dist.diag_objective(mats)(
+            np.concatenate([np.full((len(mats), d), 1.0 / d), _dephased(mats)]), np.tile(np.arange(len(mats)), 2)
+        )[0].reshape(2, -1)
+    # each corner value as minimize_diags reports one: round-off in
+    # [-1e-12, 0) reads 0
+    corners = np.where((-1e-12 <= corners) & (corners < 0.0), 0.0, corners)
+    for res, ceiling in zip(results, corners.min(axis=0), strict=True):
+        assert res.method == "newton" and res.converged
+        assert math.isfinite(res.value) and 0.0 <= res.value <= ceiling
 
 
 @pytest.mark.parametrize("dist", [SchattenDistance(1.0), SandwichedAlphaDivergence(2.0)], ids=lambda d: d.name)
@@ -913,28 +970,39 @@ def test_renyi_two_row_whose_squares_underflow_is_empty():
     assert c_alpha_result(np.diag([0.5, 0.5, 0.0]), 2.0).value == 0.0
 
 
+def _zero_diagonal_link(entry, pair):
+    """diag(0.5, 0.5, 0) with rho_02 = entry (a row linked to a nonzero
+    diagonal), or diag(0.5, 0.5, 0, 0) with rho_23 = entry (a pair of
+    zero-diagonal indices linked only to each other)."""
+    m = np.diag([0.5, 0.5, 0.0, 0.0] if pair else [0.5, 0.5, 0.0]).astype(complex)
+    i, j = (2, 3) if pair else (0, 2)
+    m[i, j] = m[j, i] = entry
+    return m
+
+
 @pytest.mark.parametrize("entry", [1e-150, 1e-120])
 def test_renyi_two_row_too_small_to_count_is_empty(entry):
-    # |rho_02|^2 does not underflow, but row 2 adds ~(|rho_02|^2)^(2/3) to T
-    # at the optimum, far below an ulp: q_2 is held at 0 rather than driven
-    # towards it until the Hessian overflows
-    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    m[0, 2] = m[2, 0] = entry
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = c_alpha_result(m, 2.0)
-    assert res.value == 0.0 and res.converged and res.method == "newton"
-    assert np.array_equal(res.q, [0.5, 0.5, 0.0])
+    # |rho_ij|^2 does not underflow, but a linked row adds
+    # ~(|rho_02|^2)^(2/3) to T at the optimum, and a pair ~4 |rho_23|,
+    # both far below an ulp: the zero-diagonal indices are held at 0 rather
+    # than driven towards it until the Hessian overflows
+    for m in (_zero_diagonal_link(entry, False), _zero_diagonal_link(entry, True)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = c_alpha_result(m, 2.0)
+        assert res.value == 0.0 and res.converged and res.method == "newton"
+        assert np.array_equal(res.q, [0.5, 0.5, 0.0, 0.0][: len(m)])
 
 
 def test_renyi_two_row_that_counts_stays_free():
     # at rho_02 = 1e-8 row 2 raises T by 3 (sqrt(2) 1e-16)^(2/3) at the
     # optimum, which double precision resolves
-    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    m[0, 2] = m[2, 0] = 1e-8
-    res = c_alpha_result(m, 2.0)
+    res = c_alpha_result(_zero_diagonal_link(1e-8, False), 2.0)
     assert res.converged and res.q[2] > 0.0
     assert math.isclose(res.value, math.log2(1.0 + 3.0 * (math.sqrt(2.0) * 1e-16) ** (2.0 / 3.0)), rel_tol=1e-3)
+    # a pair at rho_23 = 1e-16 raises T by about 4e-16, which it resolves too
+    res = c_alpha_result(_zero_diagonal_link(1e-16, True), 2.0)
+    assert res.converged and res.q[2] > 0.0 and res.q[3] > 0.0 and 0.0 < res.value < 1e-14
 
 
 @pytest.mark.parametrize("zero_row", [False, True], ids=["full_support", "zero_row"])

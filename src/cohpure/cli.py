@@ -261,13 +261,13 @@ def cmd_hierarchy(args) -> int:
     if sf.dims is not None and sf.dims != dims:
         raise DomainError(f"--dims {args.dims} disagrees with the state file's dims {list(sf.dims)}")
     budget = Budget(args.restarts, args.refine)
-    # unpolished, every menu distance is a closed form or a Newton run: the
-    # fidelity's Newton solve replaces its mirror descent
-    opt = SimplexOptConfig(polish=False)
+    # with the polish unset, as in verify's suites, every menu distance is a
+    # closed form or a Newton run: the fidelity's Newton solve replaces its
+    # mirror descent; quantify keeps the library's polished default
     rep, mrep = correlations.hierarchy_checks(
         rho, dims, args.distance, budget=budget, rng=stream(args.seed),
         max_budget=Budget(max(args.restarts // 2, 1), max(args.refine // 2, 0)), max_rng=stream(args.seed + 1),
-        inner_budget=Budget(1, 0), opt=opt,
+        inner_budget=Budget(1, 0), opt=SimplexOptConfig(polish=False),
     )
     doc = {
         "schema_version": REPORT_SCHEMA,

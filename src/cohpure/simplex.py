@@ -8,27 +8,30 @@ block-sparse states: every qubit, X and diagonal states), the distance's
 ``closed_forms`` gives it exactly, the relative entropy and Schatten-2 by
 one evaluation of the whole stack. The other states of the trace norm and
 of sandwiched order 2 run one damped Newton method on the simplex together
-(:func:`_simplex_newton`): the trace norm through a log-barrier homotopy on
-the pencil rho - diag q, order 2 on its quadratic form in q^(-1/2) in one
-stage. Both objectives are convex, so a single start suffices; each
-computes its own values, and the Newton path reads no config. The states
-of every other distance run one exponentiated-gradient mirror descent
-together, with multiple starts each (Dirichlet draws plus the dephased
-state and the uniform point), per-row step halving on non-improvement, and
-monotone acceptance. The fidelity runs the same Newton loop on the barrier
-of its concave Tr sqrt B(q), grouped by support rank, on one of two paths
-that ``SimplexOptConfig.polish`` selects: set, it finishes mirror descent,
-and each state keeps the lower of the two points under mirror descent's
-evaluator; unset, it runs alone from the trace norm's start. Either way
-the returned value never exceeds the objective at the uniform or the
-dephased point, which downstream code relies on for certified upper
-bounds. Rows never interact, so each state's
-result is bit for bit that of a run on its own, and names its method. The
-distances' ``diag_objective`` evaluators serve mirror descent and the
-tests, where mirror descent, with the trace norm's smoothing schedule, is
-the oracle for the closed forms and the Newton solver, and a dense grid
-search over the simplex the independent verification oracle at small
-dimension.
+(:func:`_simplex_newton`): order 2 on its quadratic form in q^(-1/2) in one
+stage, the trace norm through a log-barrier homotopy on one spectral
+objective (:class:`_SpectralBarrier`), a function phi summed over the
+eigenvalues of a pencil affine in q, here phi = sqrt(lam^2 + mu^2) on
+rho - diag q. Both objectives are convex, so a single start suffices;
+each computes its own values, and the Newton path reads no config. The
+states of every other distance run one exponentiated-gradient mirror
+descent together, with ``_RESTARTS`` Dirichlet starts each beside the
+dephased state and the uniform point, per-row step halving on
+non-improvement, and monotone acceptance. The fidelity runs the same
+Newton loop on the same spectral objective with phi = -sqrt(b) on its
+pencil B(q), whose Tr sqrt is concave, grouped by support rank, on one of
+two paths that ``SimplexOptConfig.polish``, the one setting, selects: set,
+it finishes mirror descent, and each state keeps the lower of the two
+points under mirror descent's evaluator; unset, it runs alone from the
+trace norm's start. Either way the returned value never exceeds the
+objective at the uniform or the dephased point, which downstream code
+relies on for certified upper bounds. Rows never interact, so each
+state's result is bit for bit that of a run on its own, and names its
+method. The distances' ``diag_objective`` evaluators serve mirror descent
+and the tests, where mirror descent, with the trace norm's smoothing
+schedule, is the oracle for the closed forms and the Newton solver, and a
+dense grid search over the simplex the independent verification oracle at
+small dimension.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ _FLOOR = 1e-12
 _REL_TOL = 1e-10
 _STEP0 = 1.0
 _MIN_STEP = 1e-12
+# mirror descent's Dirichlet starts beside the dephased and uniform points,
+# drawn from the stream of _SEED, and its iteration budget over all stages
+_RESTARTS = 20
+_SEED = 0
+_MAX_ITER = 5000
 # barrier weights of the trace norm's and the fidelity's Newton homotopies,
 # largest first; the smoothing and the barrier each bias the value by at
 # most d * mu
@@ -237,7 +245,9 @@ class SchattenDistance(Distance):
         return float(np.sum(cij + cji)), _dephased(m)
 
     def newton_objective(self, mats):
-        return _TraceNormBarrier(mats) if self.p == 1.0 else None
+        if self.p != 1.0:
+            return None
+        return _SpectralBarrier(mats, _SmoothedModulus, (_dephased(mats) + 1.0 / mats.shape[-1]) / 2.0, _BARRIER)
 
     def diag_objective(self, mats, mu: float = 0.0):
         m = _stack(mats)
@@ -486,18 +496,11 @@ def get_distance(spec) -> Distance:
 
 @dataclass(frozen=True)
 class SimplexOptConfig:
-    """Mirror descent's settings; only mirror descent reads them. The closed
-    forms and the Newton solver of the trace norm and of sandwiched order 2
-    ignore them. ``restarts`` counts the Dirichlet starts that mirror
-    descent adds on top of the always-included dephased and uniform points.
-    ``polish`` selects the path of a distance with a Newton run
+    """``polish`` selects the path of a distance with a Newton run
     (:meth:`Distance.newton_solve`: the fidelity, whose pure-state optima
     sit on simplex vertices): set, mirror descent finished by the Newton
-    run; unset, the Newton run alone, which reads no other field."""
+    run; unset, the Newton run alone. No other path reads it."""
 
-    restarts: int = 20
-    max_iter: int = 5000
-    seed: int = 0
     polish: bool = True
 
 
@@ -536,17 +539,16 @@ def _dephased(rho) -> np.ndarray:
     return q / q.sum(axis=-1, keepdims=True)
 
 
-def _starts(mats: np.ndarray, cfg: SimplexOptConfig) -> np.ndarray:
+def _starts(mats: np.ndarray) -> np.ndarray:
     """(N, R, d) starting rows: for each state the uniform point, its
-    dephased state and ``cfg.restarts`` Dirichlet draws, the same draws
-    for every state."""
+    dephased state and ``_RESTARTS`` Dirichlet draws, the same draws for
+    every state."""
     N, d = mats.shape[0], mats.shape[-1]
-    q = np.empty((N, 2 + cfg.restarts, d))
+    q = np.empty((N, 2 + _RESTARTS, d))
     q[:, 0] = 1.0 / d
     q[:, 1] = _dephased(mats)
-    if cfg.restarts > 0:
-        rng = linalg.stream(cfg.seed)
-        q[:, 2:] = [rng.dirichlet(np.ones(d)) for _ in range(cfg.restarts)]
+    rng = linalg.stream(_SEED)
+    q[:, 2:] = [rng.dirichlet(np.ones(d)) for _ in range(_RESTARTS)]
     q = np.clip(q, _FLOOR, None)
     return q / q.sum(axis=-1, keepdims=True)
 
@@ -632,7 +634,7 @@ def minimize_diags(mats, distance, cfg: SimplexOptConfig | None = None) -> list:
         if (objective := distance.newton_objective(mats[rest])) is not None:
             solved = _simplex_newton(objective)
         elif cfg.polish or (solved := distance.newton_solve(mats[rest])) is None:
-            solved = _mirror_descent(mats[rest], distance, cfg)
+            solved = _mirror_descent(mats[rest], distance, cfg.polish)
         for n, res in zip(rest, solved):
             results[n] = res
     return [_reported(res) for res in results]
@@ -646,39 +648,6 @@ def _reported(res: SimplexResult) -> SimplexResult:
         # negative values are round-off
         return replace(res, value=0.0)
     return res
-
-
-def _barrier_value(lam, Q, mu):
-    """f_mu(q) = sum_k sqrt(lam_k^2 + mu^2) - mu sum_i log q_i rowwise, from
-    the eigenvalues lam of rho - diag q; mu holds one weight per row."""
-    return np.sum(np.sqrt(lam**2 + mu[:, None] ** 2), axis=1) - mu * np.sum(np.log(Q), axis=1)
-
-
-def _barrier_derivatives(lam, vec, Q, mu):
-    """Gradient, Hessian and the gradient's derivative in mu of f_mu at rows
-    Q, from lam, vec = eigh(rho - diag q). With s = sqrt(lam^2 + mu^2) and
-    h = lam / s, the gradient is g_i = -sum_k |V_ik|^2 h_k - mu / q_i, and
-    the Hessian is the Daleckii--Krein form H_ij = Re sum_kl G_kl conj(V_ik)
-    V_il V_jk conj(V_jl) + delta_ij mu / q_i^2, where G holds the divided
-    differences of h (and h' = mu^2 / s^3 on coincident eigenvalues)."""
-    m = mu[:, None]
-    s = np.sqrt(lam**2 + m**2)
-    h = lam / s
-    w = np.abs(vec) ** 2
-    g = -np.einsum("rik,rk->ri", w, h) - m / Q
-    g_mu = np.einsum("rik,rk->ri", w, h * m / s**2) - 1.0 / Q
-    a, b, sa, sb = lam[:, :, None], lam[:, None, :], s[:, :, None], s[:, None, :]
-    m2 = m[:, :, None] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # h(a) - h(b) = mu^2 (a^2 - b^2) / (s_a s_b (a s_b + b s_a)) does
-        # not cancel on same-sign pairs, nor a - b on opposite-sign pairs
-        same = m2 * (a + b) / (sa * sb * (a * sb + b * sa))
-        split = (h[:, :, None] - h[:, None, :]) / (a - b)
-    gam = np.where(a * b > 0, same, np.where(a != b, split, m2 / sa**3))
-    H = _daleckii_krein(vec, gam)
-    idx = np.arange(Q.shape[1])
-    H[:, idx, idx] += m / Q**2
-    return g, H, g_mu
 
 
 def _daleckii_krein(vec, gam):
@@ -709,37 +678,6 @@ def _newton_step(g, H, fixed):
     rhs[:, :d, 0] = -g
     step = np.linalg.solve(K, rhs)[:, :d, 0]
     return step, -np.einsum("ri,ri->r", g, step)
-
-
-class _TraceNormBarrier:
-    """The trace norm's part of :func:`_simplex_newton`: the barrier
-    f_mu(q) = sum_k sqrt(lam_k^2 + mu^2) - mu sum_i log q_i over the
-    eigenvalues lam of the pencil rho - diag q, for each weight mu of
-    ``_BARRIER`` in turn, from (dephased + uniform) / 2; the exact value
-    is the trace norm."""
-
-    schedule = _BARRIER
-
-    def __init__(self, mats):
-        self.mats = mats
-        self.fixed = np.zeros(mats.shape[:2], dtype=bool)
-        self.start = (_dephased(mats) + 1.0 / mats.shape[-1]) / 2.0
-
-    def _pencil(self, s, Q):
-        A = self.mats[s]
-        idx = np.arange(Q.shape[1])
-        A[:, idx, idx] -= Q
-        return A
-
-    def derivatives(self, s, Q, mu):
-        lam, vec = np.linalg.eigh(self._pencil(s, Q))
-        return (_barrier_value(lam, Q, mu), *_barrier_derivatives(lam, vec, Q, mu))
-
-    def values(self, s, Q, mu):
-        return _barrier_value(np.linalg.eigvalsh(self._pencil(s, Q)), Q, mu)
-
-    def exact(self, s, Q):
-        return np.sum(np.abs(np.linalg.eigvalsh(self._pencil(s, Q))), axis=1)
 
 
 class _RenyiTwoForm:
@@ -804,69 +742,121 @@ class _RenyiTwoForm:
         return np.where(outside, np.inf, _renyi_value(self._form(s, Q)[3], 2.0))
 
 
-class _FidelityBarrier:
-    """The fidelity's part of :func:`_simplex_newton`, for a stack of
-    states of one support rank r: with rho = U diag(p) U^dag on its support
-    (eigenvalues above ``linalg.DUST_REL`` times the largest) and
-    w_i = diag(sqrt p) U^dag e_i, the pencil B(q) = sum_i q_i w_i w_i^dag
-    is an r x r matrix, positive definite for q > 0 and unitarily similar
-    to sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
-    Tr sqrt B(q), concave in q. The barrier f_mu(q) = -Tr sqrt B -
-    mu sum_i log q_i runs for each weight mu of ``schedule`` in turn, from
-    the rows ``start``, both chosen by :func:`_fidelity_newton`. With
-    b, V = eigh(B) and X = Z V, Z the (d, r) stack of rows conj(w_i), the
-    gradient is -1/2 sum_k |X_ik|^2 / sqrt(b_k) - mu / q_i, and the Hessian
-    the Daleckii--Krein form of -sqrt with G_kl = 1 / (2 sqrt(b_k) sqrt(b_l)
-    (sqrt(b_k) + sqrt(b_l))), plus mu / q_i^2. The exact value is the
-    evaluator ``exact`` (``diag_objective``), so the Newton point is
-    scored as mirror descent's are."""
+class _SmoothedModulus:
+    """The trace norm's phi(lam) = s = sqrt(lam^2 + mu^2), with phi' = h =
+    lam / s, d phi'/d mu = -h mu / s^2, and the divided differences of h,
+    whose limit on coincident eigenvalues is h' = mu^2 / s^3."""
 
-    def __init__(self, mats, Z, exact, start, schedule):
+    @staticmethod
+    def values(lam, m):
+        return np.sqrt(lam**2 + m**2)
+
+    @staticmethod
+    def derivatives(lam, m):
+        s = np.sqrt(lam**2 + m**2)
+        h = lam / s
+        a, b, sa, sb = lam[:, :, None], lam[:, None, :], s[:, :, None], s[:, None, :]
+        m2 = m[:, :, None] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # h(a) - h(b) = mu^2 (a^2 - b^2) / (s_a s_b (a s_b + b s_a)) does
+            # not cancel on same-sign pairs, nor a - b on opposite-sign pairs
+            same = m2 * (a + b) / (sa * sb * (a * sb + b * sa))
+            split = (h[:, :, None] - h[:, None, :]) / (a - b)
+        gam = np.where(a * b > 0, same, np.where(a != b, split, m2 / sa**3))
+        return s, h, gam, -h * m / s**2
+
+
+class _NegativeRoot:
+    """The fidelity's phi(b) = -sqrt(b), with phi' = -1 / (2 sqrt b), the
+    divided differences 1 / (2 sqrt(b_k) sqrt(b_l) (sqrt(b_k) + sqrt(b_l)))
+    and no dependence on mu. Eigenvalues below the eigensolver's resolution,
+    ``_ROUNDOFF`` times the largest, read as that floor, so no root, divided
+    difference or inverse is 0 or inf."""
+
+    @staticmethod
+    def values(b, m):
+        return -np.sqrt(np.maximum(b, _ROUNDOFF * b[:, -1:]))
+
+    @staticmethod
+    def derivatives(b, m):
+        root = -_NegativeRoot.values(b, m)
+        ra, rb = root[:, :, None], root[:, None, :]
+        return -root, -0.5 / root, 1.0 / (2.0 * ra * rb * (ra + rb)), None
+
+
+class _SpectralBarrier:
+    """The trace norm's and the fidelity's part of :func:`_simplex_newton`:
+    the barrier f_mu(q) = sum_k phi(lam_k) - mu sum_i log q_i over the
+    eigenvalues lam of a pencil L(q) = C + sign sum_i q_i z_i z_i^dag that
+    is affine in q, for each weight mu of ``schedule`` in turn, from the
+    rows ``start``. Without ``Z``, L is the trace norm's rho - diag q (C =
+    rho, sign = -1, z_i = e_i); with it, the fidelity's B(q) (C = 0, sign =
+    +1, z_i the conjugated rows of the (N, d, r) stack Z). The spectral
+    function ``phi`` (:class:`_SmoothedModulus`, :class:`_NegativeRoot`)
+    gives phi(lam) (``values``) and, from ``derivatives``, also phi', the
+    divided differences of phi' and d phi'/d mu (None where phi does not
+    depend on mu). With lam, V = eigh(L) and X = Z V (V without Z), the
+    gradient is g_i = sign sum_k |X_ik|^2 phi'(lam_k) - mu / q_i, its
+    derivative in mu sign sum_k |X_ik|^2 d phi'/d mu - 1 / q_i, and the
+    Hessian the Daleckii--Krein form of the divided differences plus
+    mu / q_i^2 on the diagonal. ``exact`` scores a point; without it, the
+    trace norm sum_k |lam_k|."""
+
+    def __init__(self, mats, phi, start, schedule, exact=None, Z=None):
         self.mats = mats
-        self.Z = Z
-        self.exact = exact
+        self.phi = phi
         self.start = start
         self.schedule = schedule
+        self.Z = Z
+        self.sign = -1.0 if Z is None else 1.0
         self.fixed = np.zeros(mats.shape[:2], dtype=bool)
+        self.exact = exact or (lambda s, Q: np.sum(np.abs(np.linalg.eigvalsh(self._pencil(s, Q))), axis=1))
 
     def _pencil(self, s, Q):
+        if self.Z is None:
+            A = self.mats[s]
+            idx = np.arange(Q.shape[1])
+            A[:, idx, idx] -= Q
+            return A
         Z = self.Z[s]
         return np.einsum("rik,ri,ril->rkl", np.conj(Z), Q, Z)
 
-    def _roots(self, b):
-        # eigenvalues of B below the eigensolver's resolution read as that
-        # floor, so no root, divided difference or inverse is 0 or inf
-        return np.sqrt(np.maximum(b, _ROUNDOFF * b[:, -1:]))
-
     def derivatives(self, s, Q, mu):
-        b, V = np.linalg.eigh(self._pencil(s, Q))
-        root = self._roots(b)
-        X = self.Z[s] @ V
+        lam, V = np.linalg.eigh(self._pencil(s, Q))
+        X = V if self.Z is None else self.Z[s] @ V
         m = mu[:, None]
-        f = -root.sum(axis=1) - mu * np.sum(np.log(Q), axis=1)
-        g = -0.5 * np.einsum("rik,rk->ri", np.abs(X) ** 2, 1.0 / root) - m / Q
-        ra, rb = root[:, :, None], root[:, None, :]
-        H = _daleckii_krein(X, 1.0 / (2.0 * ra * rb * (ra + rb)))
+        phi, dphi, gam, dphi_dmu = self.phi.derivatives(lam, m)
+        w = np.abs(X) ** 2
+        f = np.sum(phi, axis=1) - mu * np.sum(np.log(Q), axis=1)
+        g = self.sign * np.einsum("rik,rk->ri", w, dphi) - m / Q
+        g_mu = -1.0 / Q if dphi_dmu is None else self.sign * np.einsum("rik,rk->ri", w, dphi_dmu) - 1.0 / Q
+        H = _daleckii_krein(X, gam)
         idx = np.arange(Q.shape[1])
         H[:, idx, idx] += m / Q**2
-        return f, g, H, -1.0 / Q
+        return f, g, H, g_mu
 
     def values(self, s, Q, mu):
-        b = np.linalg.eigvalsh(self._pencil(s, Q))
-        return -np.sum(self._roots(b), axis=1) - mu * np.sum(np.log(Q), axis=1)
+        lam = np.linalg.eigvalsh(self._pencil(s, Q))
+        return np.sum(self.phi.values(lam, mu[:, None]), axis=1) - mu * np.sum(np.log(Q), axis=1)
 
 
 def _fidelity_newton(mats, evaluate, best=None) -> list:
     """The fidelity's Newton run: :func:`_simplex_newton` on
-    :class:`_FidelityBarrier` for the states of each support rank of the
-    (N, d, d) stack ``mats`` in turn, each point valued by ``evaluate``
-    (``diag_objective`` over the stack); one SimplexResult per state. Where
-    ``SimplexOptConfig.polish`` is set it finishes mirror descent from its
-    best points ``best`` (N, d), mixed with ``_WARM_MIX`` of the uniform
-    point, through ``_WARM_BARRIER``; where it is unset it is the solver,
-    from the trace norm's start (dephased + uniform) / 2 through all of
-    ``_BARRIER`` (``best`` None). A group's rows never meet another's, so
-    each state gets the result of a run on its own."""
+    :class:`_SpectralBarrier` with phi = :class:`_NegativeRoot` for the
+    states of each support rank r of the (N, d, d) stack ``mats`` in turn,
+    each point valued by ``evaluate`` (``diag_objective`` over the stack);
+    one SimplexResult per state. With rho = U diag(p) U^dag on its support
+    (eigenvalues above ``linalg.DUST_REL`` times the largest) and
+    w_i = diag(sqrt p) U^dag e_i, the pencil B(q) = sum_i q_i w_i w_i^dag
+    is an r x r matrix, positive definite for q > 0 and unitarily similar
+    to sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
+    Tr sqrt B(q), concave in q. Where ``SimplexOptConfig.polish`` is set
+    it finishes mirror descent from its best points ``best`` (N, d), mixed
+    with ``_WARM_MIX`` of the uniform point, through ``_WARM_BARRIER``;
+    where it is unset it is the solver, from the trace norm's start
+    (dephased + uniform) / 2 through all of ``_BARRIER`` (``best`` None).
+    A group's rows never meet another's, so each state gets the result of
+    a run on its own."""
     d = mats.shape[-1]
     if best is None:
         start, schedule = (_dephased(mats) + 1.0 / d) / 2.0, _BARRIER
@@ -883,7 +873,7 @@ def _fidelity_newton(mats, evaluate, best=None) -> list:
         def exact(s, Q, idx=idx):
             return evaluate(Q, idx[s], below=np.full(Q.shape[0], -np.inf))[0]
 
-        barrier = _FidelityBarrier(mats[idx], Z, exact, start[idx], schedule)
+        barrier = _SpectralBarrier(mats[idx], _NegativeRoot, start[idx], schedule, exact, Z)
         for n, res in zip(idx, _simplex_newton(barrier)):
             results[n] = res
     return results
@@ -891,14 +881,13 @@ def _fidelity_newton(mats, evaluate, best=None) -> list:
 
 def _simplex_newton(objective) -> list:
     """min_q f(q) over the simplex for a stack of states by damped Newton
-    steps on a convex objective (:class:`_TraceNormBarrier`,
-    :class:`_RenyiTwoForm`, :class:`_FidelityBarrier`). The objective
-    supplies the stack ``mats``, the ``start``, the stage ``schedule`` of
-    barrier weights mu, the indices ``fixed`` at q_i = 0, f_mu with its
-    gradient, Hessian and the gradient's derivative in mu
-    (``derivatives``), f_mu alone (``values``) and the exact value
-    (``exact``), all computed by the objective itself. For each
-    weight in turn, a stage ends when the squared Newton decrement falls
+    steps on a convex objective (:class:`_SpectralBarrier`,
+    :class:`_RenyiTwoForm`). The objective supplies the stack ``mats``, the
+    ``start``, the stage ``schedule`` of barrier weights mu, the indices
+    ``fixed`` at q_i = 0, f_mu with its gradient, Hessian and the
+    gradient's derivative in mu (``derivatives``), f_mu alone (``values``)
+    and the exact value (``exact``), all computed by the objective itself.
+    For each weight in turn, a stage ends when the squared Newton decrement falls
     below ``_DECREMENT * mu``, or below what the round-off of f_mu can
     resolve; the next stage starts from the point a tangent step along the
     central path predicts for its weight. Each state takes at most
@@ -963,7 +952,7 @@ def _simplex_newton(objective) -> list:
     ]
 
 
-def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
+def _mirror_descent(mats, distance: Distance, polish: bool) -> list:
     """Multi-start mirror descent over a stack of states, the path for
     distances without a closed form or a Newton objective, and the tests'
     oracle for the closed forms and the Newton solver; one SimplexResult per
@@ -973,20 +962,20 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     with warm starts. The final selection always re-includes each state's
     raw starting points under the true objective, so the result never
     exceeds the objective at the uniform or dephased starts regardless of
-    where the smoothed stages wandered. With ``cfg.polish`` set, a distance's
+    where the smoothed stages wandered. With ``polish`` set, a distance's
     :meth:`Distance.newton_solve` runs on the stack, and each state keeps
     the finisher's point (method ``"newton"``) where its value is lower,
     adding the finisher's evaluations either way; ``converged`` and the
     iterations stay mirror descent's.
     """
     mats = _stack(mats)
-    starts = _starts(mats, cfg)
+    starts = _starts(mats)
     N, R, d = starts.shape
     s = np.repeat(np.arange(N), R)
     schedule = distance.smoothing or (0.0,)
     # one objective per width, the unsmoothed one shared with the final pool
     objectives = {mu: distance.diag_objective(mats, mu=mu) for mu in dict.fromkeys((*schedule, 0.0))}
-    stage_iters = max(cfg.max_iter // len(schedule), 50)
+    stage_iters = max(_MAX_ITER // len(schedule), 50)
     Q = starts.reshape(N * R, d).copy()
     total_it = np.zeros(N, dtype=int)
     # R starting values per stage, then a value and a gradient per row iteration
@@ -1005,7 +994,7 @@ def _mirror_descent(mats, distance: Distance, cfg: SimplexOptConfig) -> list:
     vals = vals[0].reshape(N, 2 * R)
     total_ev += 2 * R
     best = np.argmin(vals, axis=1)
-    finished = distance.newton_solve(mats, pool[np.arange(N), best], objectives[0.0]) if cfg.polish else None
+    finished = distance.newton_solve(mats, pool[np.arange(N), best], objectives[0.0]) if polish else None
     results = []
     for n in range(N):
         res = SimplexResult(

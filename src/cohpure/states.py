@@ -166,6 +166,8 @@ def from_bloch(r) -> DensityMatrix:
 def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
     """Seeded random state: Haar eigenvectors, Dirichlet(1) eigenvalues of
     the requested exact numeric rank."""
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     if not (1 <= rank <= d):
         raise DomainError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     u = linalg.haar_unitary(d, rng)

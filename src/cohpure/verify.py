@@ -37,9 +37,8 @@ from .states import random_density
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITES"]
 
-FAST_OPT = SimplexOptConfig(restarts=4, max_iter=800)
-# the menu distances by closed form or Newton alone, for the nested sweeps:
-# the fidelity's Newton solve replaces its mirror descent
+# every monotone of the suites by closed form or Newton alone: the
+# fidelity's Newton solve replaces its mirror descent, so no suite runs it
 ULTRA_OPT = SimplexOptConfig(polish=False)
 # the menu distances, then the divergences of c_alpha at orders 0.5 and 2
 MONOTONES = (*MENU, PetzAlphaDivergence(0.5), SandwichedAlphaDivergence(2.0))
@@ -105,7 +104,7 @@ def _mcms_universality(cases) -> list:
         worst_closed = max([worst_closed] + [c_rel_entropy(r) - ceiling_r for r in rotated])
         for monotone in MONOTONES:
             # rho_max and its rotations, minimized as one stack
-            ceiling, *values = coherence.c_distances([rho_max, *rotated], monotone, FAST_OPT)
+            ceiling, *values = coherence.c_distances([rho_max, *rotated], monotone, ULTRA_OPT)
             worst_opt = max([worst_opt] + [v - ceiling for v in values])
     return [
         CheckResult(
@@ -154,7 +153,6 @@ def _mio_monotones(cases, per_combo) -> list:
     ``cases``: (rho, channel) pairs, ``per_combo`` of them per (kind, d).
     The inputs and outputs of each dimension are minimized as one stack
     per monotone."""
-    mono_opt = SimplexOptConfig(restarts=2, max_iter=600)
     worst_mono = 0.0
     by_dim = {}
     for rho, ch in cases:
@@ -163,7 +161,7 @@ def _mio_monotones(cases, per_combo) -> list:
         by_dim.setdefault(rho.dim, []).extend((rho, out))
     for stack in by_dim.values():
         for monotone in MONOTONES:
-            values = coherence.c_distances(stack, monotone, mono_opt)
+            values = coherence.c_distances(stack, monotone, ULTRA_OPT)
             worst_mono = max([worst_mono] + [b - a for a, b in zip(values[::2], values[1::2])])
     return [
         CheckResult(
@@ -249,7 +247,7 @@ def _cmax_identity(states_, rng) -> list:
             minima.append(correlations._minimum(dist, rotated.mat))
             searches.append(correlations._minima_search(rho.mat[None], search_budget, [rng], None, dist, 1))
     worst_closed, worst_opt, worst_exceed = 0.0, 0.0, 0.0
-    minima, searches = correlations._lockstep(minima, FAST_OPT), correlations._lockstep(searches, ULTRA_OPT)
+    minima, searches = correlations._lockstep(minima, ULTRA_OPT), correlations._lockstep(searches, ULTRA_OPT)
     for (name, ceiling), minimum, ((res,), _) in zip(ceilings, minima, searches):
         if name == "rel_entropy":
             worst_closed = max(worst_closed, abs(minimum - ceiling))
@@ -504,7 +502,7 @@ def _cnot_identities(qubits) -> list:
         worst_id = max(worst_id, abs(act.negativity - act.half_c_l1))
         nb = correlations.negativity_purity_bound(rho)
         bound_ok = bound_ok and nb.holds
-        cg = coherence.c_geometric(rho, FAST_OPT)
+        cg = coherence.c_geometric(rho, ULTRA_OPT)
         rel = math.sqrt(max(1.0 - (1.0 - 2.0 * cg) ** 2, 0.0))
         worst_rel = max(worst_rel, abs(c_l1(rho) - rel))
     return [

@@ -557,6 +557,16 @@ class TestVerifyCommand:
             assert json.loads(proc.stdout)["passed"] is True
             check_verify_golden(suite, proc.stdout)
 
+    def test_theorem_suites_run_no_mirror_descent(self, capsys, monkeypatch):
+        # every monotone of the suites is a closed form or a Newton run
+        def refused(*args, **kwargs):
+            raise AssertionError("mirror descent ran")
+
+        monkeypatch.setattr(simplex, "_mirror_descent", refused)
+        for suite in ("theorem1", "theorem2"):
+            assert climod.main(["verify", "--suite", suite, "--seed", "1", "--trials", "2"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_unknown_suite_exit_two(self):
         proc = run_cli("verify", "--suite", "theorem3")
         assert proc.returncode == 2
@@ -628,6 +638,12 @@ class TestRandom:
     def test_bad_rank_exit_two(self, tmp_path):
         proc = run_cli("random", "--dim", "2", "--rank", "5", "--seed", "1", "--out", str(tmp_path / "x.json"))
         assert proc.returncode == 2
+
+    def test_bad_dim_exit_two(self, tmp_path):
+        # the dimension is checked before the rank is checked against it
+        proc = run_cli("random", "--dim", "-2", "--rank", "1", "--seed", "1", "--out", str(tmp_path / "x.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: dimension must be >= 1, got -2\n"
 
 
 class TestStateFileRoundTrip:

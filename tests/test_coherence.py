@@ -28,7 +28,6 @@ from cohpure.coherence import (
 from cohpure.linalg import DomainError, ValidationError, haar_unitary, stream
 from cohpure.simplex import MENU, grid_minimize
 from cohpure.states import diagonal, from_bloch, maximally_mixed, pure, random_density, validate
-from cohpure.verify import FAST_OPT
 
 
 def binary_entropy(p):
@@ -75,11 +74,11 @@ class TestClosedFormMonotones:
 class TestCDistance:
     @pytest.mark.parametrize("name", MENU)
     def test_diagonal_states_are_free(self, name):
-        assert c_distance(diagonal([0.5, 0.3, 0.2]), name, FAST_OPT) <= 1e-9
+        assert c_distance(diagonal([0.5, 0.3, 0.2]), name) <= 1e-9
 
     def test_trace_norm_bloch(self):
         rho = from_bloch((0.8, 0, 0))
-        val = c_distance(rho, "trace_norm", FAST_OPT)
+        val = c_distance(rho, "trace_norm")
         grid, _ = grid_minimize(rho.mat, "trace_norm", resolution=1e-4)
         assert abs(val - 0.8) <= 1e-6
         assert abs(val - grid) <= 1e-4
@@ -87,7 +86,7 @@ class TestCDistance:
         assert abs(val - c_l1(rho)) <= 1e-6
 
     def test_fidelity_coherence_of_plus(self):
-        val = c_distance(pure([1, 1]), "one_minus_fidelity", FAST_OPT)
+        val = c_distance(pure([1, 1]), "one_minus_fidelity")
         grid, _ = grid_minimize(pure([1, 1]).mat, "one_minus_fidelity", resolution=1e-4)
         assert abs(val - 0.5) <= 1e-9
         assert abs(val - grid) <= 1e-6
@@ -98,7 +97,7 @@ class TestCDistance:
         for _ in range(8):
             d = int(rng.integers(2, 6))
             rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-            assert c_distance(rho, name, FAST_OPT) <= c_max_closed(rho, name) + 1e-9
+            assert c_distance(rho, name) <= c_max_closed(rho, name) + 1e-9
 
     def test_full_menu_imports_no_scipy(self):
         # scipy is a test dependency only: its cold import costs more than
@@ -128,15 +127,15 @@ print([r.method for r in results], [m for m in sys.modules if m.startswith("scip
 class TestCAlpha:
     def test_diagonal_states_are_free(self):
         rho = diagonal([0.6, 0.4])
-        assert c_alpha(rho, 0.5, FAST_OPT) <= 1e-9
-        assert c_alpha(rho, 2.0, FAST_OPT) <= 1e-9
+        assert c_alpha(rho, 0.5) <= 1e-9
+        assert c_alpha(rho, 2.0) <= 1e-9
 
     def test_plus_state_order_half(self):
-        assert abs(c_alpha(pure([1, 1]), 0.5, FAST_OPT) - 1.0) <= 1e-9
+        assert abs(c_alpha(pure([1, 1]), 0.5) - 1.0) <= 1e-9
 
     def test_mcms_collision_order_matches_purity(self):
         rho_max = mcms([0.9, 0.1])
-        val = c_alpha(rho_max, 2.0, FAST_OPT)
+        val = c_alpha(rho_max, 2.0)
         assert abs(val - math.log2(2 * 0.82)) <= 1e-4
 
     def test_pure_state_exact_despite_eigenvalue_dust(self):
@@ -157,8 +156,8 @@ class TestCAlpha:
         for _ in range(5):
             rho = random_density(int(rng.integers(2, 4)), 2, rng)
             c1 = c_rel_entropy(rho)
-            assert abs(c_alpha(rho, 1.0 + 1e-3, FAST_OPT) - c1) <= 5e-3
-            assert abs(c_alpha(rho, 1.0 - 1e-3, FAST_OPT) - c1) <= 5e-3
+            assert abs(c_alpha(rho, 1.0 + 1e-3) - c1) <= 5e-3
+            assert abs(c_alpha(rho, 1.0 - 1e-3) - c1) <= 5e-3
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
@@ -167,19 +166,19 @@ class TestCAlpha:
 
 class TestCGeometric:
     def test_plus_state(self):
-        assert abs(c_geometric(pure([1, 1]), FAST_OPT) - 0.5) <= 1e-9
+        assert abs(c_geometric(pure([1, 1])) - 0.5) <= 1e-9
 
     def test_diagonal(self):
-        assert c_geometric(diagonal([0.1, 0.9]), FAST_OPT) <= 1e-9
+        assert c_geometric(diagonal([0.1, 0.9])) <= 1e-9
 
     def test_qubit_relation_to_l1(self):
         rho = from_bloch((0.8, 0, 0))
-        cg = c_geometric(rho, FAST_OPT)
+        cg = c_geometric(rho)
         assert abs(cg - 0.2) <= 1e-4  # (1 - sqrt(1 - 0.64)) / 2
         rng = stream(4)
         for _ in range(10):
             rho = random_density(2, int(rng.integers(1, 3)), rng)
-            cg = c_geometric(rho, FAST_OPT)
+            cg = c_geometric(rho)
             assert abs(c_l1(rho) - math.sqrt(max(1 - (1 - 2 * cg) ** 2, 0.0))) <= 1e-4
 
 
@@ -341,7 +340,7 @@ class TestCMaxClosed:
         for name in MENU:
             rho = random_density(3, 3, rng)
             direct = c_max_closed(rho, name)
-            via_mcms = c_distance(mcms(rho.spectrum, 3), name, FAST_OPT)
+            via_mcms = c_distance(mcms(rho.spectrum, 3), name)
             assert abs(direct - via_mcms) <= 1e-4
 
 
@@ -381,8 +380,8 @@ class TestMonotonicity:
                 rho = random_density(d, int(rng.integers(1, d + 1)), rng)
                 out = apply_channel(random_free_channel(kind, d, rng), rho)
                 assert c_rel_entropy(out) <= c_rel_entropy(rho) + 1e-6
-                assert c_distance(out, "trace_norm", FAST_OPT) <= c_distance(rho, "trace_norm", FAST_OPT) + 1e-6
-                assert c_alpha(out, 2.0, FAST_OPT) <= c_alpha(rho, 2.0, FAST_OPT) + 1e-6
+                assert c_distance(out, "trace_norm") <= c_distance(rho, "trace_norm") + 1e-6
+                assert c_alpha(out, 2.0) <= c_alpha(rho, 2.0) + 1e-6
 
     def test_l1_monotone_under_io_kinds(self):
         rng = stream(13)
@@ -406,12 +405,12 @@ class TestUniversality:
             spectrum = np.sort(rng.dirichlet(np.ones(d)))[::-1]
             rho_max = mcms(spectrum, d)
             ceiling_r = c_rel_entropy(rho_max)
-            ceiling_half = c_alpha(rho_max, 0.5, FAST_OPT)
+            ceiling_half = c_alpha(rho_max, 0.5)
             for _ in range(20):
                 u = haar_unitary(d, rng)
                 rotated = validate(u @ rho_max.mat @ u.conj().T)
                 assert c_rel_entropy(rotated) <= ceiling_r + 1e-9
-                assert c_alpha(rotated, 0.5, FAST_OPT) <= ceiling_half + 1e-4
+                assert c_alpha(rotated, 0.5) <= ceiling_half + 1e-4
 
     def test_theorem2_equality_at_optimal_unitary(self):
         rng = stream(15)
@@ -419,4 +418,4 @@ class TestUniversality:
             rho = random_density(4, 3, rng)
             v = optimal_unitary(rho)
             rotated = validate(v @ rho.mat @ v.conj().T)
-            assert abs(c_distance(rotated, name, FAST_OPT) - c_max_closed(rho, name)) <= 1e-6
+            assert abs(c_distance(rotated, name) - c_max_closed(rho, name)) <= 1e-6

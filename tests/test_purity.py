@@ -23,7 +23,6 @@ from cohpure.purity import (
 )
 from cohpure.simplex import MENU, Distance, PetzAlphaDivergence, SandwichedAlphaDivergence, get_distance
 from cohpure.states import diagonal, from_bloch, maximally_mixed, pure, random_density, validate
-from cohpure.verify import FAST_OPT
 
 
 def binary_entropy(p):
@@ -187,7 +186,7 @@ class TestPCoherenceBased:
             assert abs(p_coherence_based(rho, c_rel_entropy) - p_rel_entropy(rho)) <= 1e-9
 
     def test_alpha_half_on_mixed(self):
-        val = p_coherence_based(maximally_mixed(3), lambda s: c_alpha(s, 0.5, FAST_OPT))
+        val = p_coherence_based(maximally_mixed(3), lambda s: c_alpha(s, 0.5))
         assert val <= 1e-9
 
     def test_l1_on_binary_spectrum(self):

@@ -21,16 +21,17 @@ from cohpure.simplex import (
     SandwichedAlphaDivergence,
     SchattenDistance,
     SimplexOptConfig,
-    _barrier_derivatives,
-    _barrier_value,
     _dephased,
     _eg_stage,
     _fidelity_newton,
     _grid_eval,
     _grid_points,
     _mirror_descent,
-    _starts,
+    _NegativeRoot,
     _simplex_newton,
+    _SmoothedModulus,
+    _SpectralBarrier,
+    _starts,
     get_distance,
     grid_minimize,
     minimize_diag,
@@ -54,7 +55,7 @@ def _oracle(rho, dist):
     descent at its default settings on one state, finished for the trace
     norm and the fidelity by scipy's SLSQP (:func:`_slsqp_polish`), a
     finisher independent of the library's Newton loop."""
-    res = _mirror_descent(rho, dist, SimplexOptConfig(polish=False))[0]
+    res = _mirror_descent(rho, dist, polish=False)[0]
     if dist.name not in ("trace_norm", "one_minus_fidelity"):
         return res
     q, v, ev = _slsqp_polish(dist.diag_objective(rho), 0, res.q, res.value)
@@ -482,13 +483,13 @@ class TestEgStage:
     def test_batch_rows_match_solo_runs(self, dist, mu):
         # the starts of three states share one batch in shuffled order;
         # every row ends as it does in a batch of its own
-        cfg = SimplexOptConfig(restarts=6)
         rng = stream(50)
         for d, ranks in ((3, (2, 3, 1)), (4, (4, 2, 1))):
             mats = np.stack([random_density(d, rank, rng).mat for rank in ranks])
             evaluate = dist.diag_objective(mats, mu=mu)
-            starts = _starts(mats, cfg).reshape(-1, d)
-            s = np.repeat(np.arange(len(ranks)), cfg.restarts + 2)
+            starts = _starts(mats)
+            s = np.repeat(np.arange(len(ranks)), starts.shape[1])
+            starts = starts.reshape(-1, d)
             order = rng.permutation(starts.shape[0])
             starts, s = starts[order], s[order]
             Q, V, iters, done = _eg_stage(evaluate, starts.copy(), s, 400, 1e-10)
@@ -505,12 +506,12 @@ class TestEgStage:
     def test_carried_gradient_matches_fresh_gradient(self, dist, mu):
         # the gradient an accepted row carries is the bits a fresh
         # decomposition of that row gives
-        cfg = SimplexOptConfig(restarts=4)
         rng = stream(51)
         for d in (3, 4, 5):
             mats = np.stack([random_density(d, rank, rng).mat for rank in (d, 1, 2, d - 1)])
-            starts = _starts(mats, cfg).reshape(-1, d)
-            s = np.repeat(np.arange(len(mats)), cfg.restarts + 2)
+            starts = _starts(mats)
+            s = np.repeat(np.arange(len(mats)), starts.shape[1])
+            starts = starts.reshape(-1, d)
             evaluate = dist.diag_objective(mats, mu=mu)
             got = _eg_stage(evaluate, starts.copy(), s, 300, 1e-10)
             want = _fresh_gradient_stage(evaluate, starts.copy(), s, 300, 1e-10)
@@ -537,19 +538,17 @@ STACK_DISTANCES = [get_distance(name) for name in MENU] + [
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg,max_iter",
     # the short run caps mirror descent's iterations; the Newton solvers of
     # the trace norm and of order 2 read no config, and neither does the
     # fidelity's where the polish is unset
-    [
-        SimplexOptConfig(restarts=2, max_iter=600, polish=False),
-        SimplexOptConfig(),
-        SimplexOptConfig(restarts=2, max_iter=60, polish=False),
-    ],
+    [(SimplexOptConfig(polish=False), None), (SimplexOptConfig(), None), (SimplexOptConfig(polish=False), 60)],
     ids=["hierarchy_cli", "default", "short"],
 )
 @pytest.mark.parametrize("dist", STACK_DISTANCES, ids=lambda d: d.name)
-def test_stack_matches_solo_runs(dist, cfg):
+def test_stack_matches_solo_runs(dist, cfg, max_iter, monkeypatch):
+    if max_iter is not None:
+        monkeypatch.setattr("cohpure.simplex._MAX_ITER", max_iter)
     rng = stream(55)
     for d in (3, 4, 5):
         mats = _mixed_stack(d, rng)
@@ -789,14 +788,14 @@ PURE_BELOW, PURE_ABOVE = 5e-8, 1e-11
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(mats=fidelity_finish_stacks())
 def test_fidelity_newton_finish_properties(mats):
-    dist, cfg = OneMinusFidelityDistance(), SimplexOptConfig(restarts=2, max_iter=600)
+    dist = OneMinusFidelityDistance()
     d = mats.shape[-1]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        best = np.stack([res.q for res in _mirror_descent(mats, dist, replace(cfg, polish=False))])
+        best = np.stack([res.q for res in _mirror_descent(mats, dist, polish=False)])
         finished = _fidelity_newton(mats, dist.diag_objective(mats), best)
-        stacked = minimize_diags(mats, dist, cfg)
-        solos = [minimize_diag(m, dist, cfg) for m in mats]
+        stacked = minimize_diags(mats, dist)
+        solos = [minimize_diag(m, dist) for m in mats]
     for m, fin, res, solo in zip(mats, finished, stacked, solos, strict=True):
         assert res.value == solo.value and np.array_equal(res.q, solo.q) and res.method == solo.method
         assert (res.iterations, res.evals, res.converged) == (solo.iterations, solo.evals, solo.converged)
@@ -884,27 +883,35 @@ def test_newton_step_cap(dist, monkeypatch):
 
 @pytest.mark.parametrize("mu", [1e-2, 1e-6])
 @pytest.mark.parametrize(
-    "spec,haar",
-    [([-0.3, -0.05, 0.2, 0.4], True), ([-0.3, 0.1, 0.1, 0.4], True), ([-0.2, 0.0, 0.0, 0.3, 0.35], True),
-     ([-0.2, 0.0, 0.0, 0.3, 0.35], False)],
-    ids=["generic", "repeated", "repeated_zero", "exact_zero"],
+    "phi,spec,haar",
+    [(_SmoothedModulus, [-0.3, -0.05, 0.2, 0.4], True), (_SmoothedModulus, [-0.3, 0.1, 0.1, 0.4], True),
+     (_SmoothedModulus, [-0.2, 0.0, 0.0, 0.3, 0.35], True), (_SmoothedModulus, [-0.2, 0.0, 0.0, 0.3, 0.35], False),
+     (_NegativeRoot, [0.1, 0.15, 0.25, 0.5], True), (_NegativeRoot, [0.0, 0.0, 0.0, 0.3, 0.7], True)],
+    ids=["generic", "repeated", "repeated_zero", "exact_zero", "fidelity_full_rank", "fidelity_rank_deficient"],
 )
-def test_barrier_derivatives_match_finite_differences(spec, haar, mu):
-    # rho - diag q has the spectrum ``spec`` at the test point q, in a Haar
-    # or the incoherent eigenbasis; there the zeros are exact and take the
-    # coincident branch of the Hessian
+def test_barrier_derivatives_match_finite_differences(phi, spec, haar, mu):
+    # the trace norm's rho - diag q has the spectrum ``spec`` at the test
+    # point q, in a Haar or the incoherent eigenbasis; there the zeros are
+    # exact and take the coincident branch of the Hessian. The fidelity's
+    # B(q) is that of the state of spectrum ``spec`` in a Haar basis, r x r
+    # on its support of rank r, as _fidelity_newton forms it
     d = len(spec)
     rng = stream(62)
     q = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
     u = haar_unitary(d, rng) if haar else np.eye(d)
-    rho = np.diag(q) + (u * np.array(spec)) @ u.conj().T
+    p = np.array(spec)
+    if phi is _SmoothedModulus:
+        barrier = _SpectralBarrier((np.diag(q) + (u * p) @ u.conj().T)[None], phi, None, None)
+    else:
+        Z = u[:, p > 0] * np.sqrt(p[p > 0])
+        barrier = _SpectralBarrier(((u * p) @ u.conj().T)[None], phi, None, None, Z=Z[None])
+    s = np.zeros(1, dtype=int)
 
     def derivatives(x, w=mu):
-        lam, vec = np.linalg.eigh(rho - np.diag(x))
-        return [a[0] for a in _barrier_derivatives(lam[None], vec[None], x[None], np.array([w]))]
+        return [a[0] for a in barrier.derivatives(s, x[None], np.array([w]))[1:]]
 
     def value(x):
-        return _barrier_value(np.linalg.eigvalsh(rho - np.diag(x))[None], x[None], np.array([mu]))[0]
+        return barrier.values(s, x[None], np.array([mu]))[0]
 
     g, H, g_mu = derivatives(q)
     h = 1e-3 * mu
@@ -924,7 +931,7 @@ def test_result_names_its_method():
     rng = stream(64)
     rho = random_density(3, 3, rng).mat
     assert minimize_diag(rho, SandwichedAlphaDivergence(2.0)).method == "newton"
-    assert minimize_diag(rho, SandwichedAlphaDivergence(3.0), SimplexOptConfig(restarts=2)).method == "mirror_descent"
+    assert minimize_diag(rho, SandwichedAlphaDivergence(3.0)).method == "mirror_descent"
     assert minimize_diag(rho, "trace_norm").method == "newton"
     assert minimize_diag(random_density(2, 2, rng).mat, "trace_norm").method == "closed_form"
     assert [c_alpha_result(rho, a).method for a in (0.5, 1.0, 2.0)] == ["closed_form", "closed_form", "newton"]

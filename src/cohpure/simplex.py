@@ -23,15 +23,16 @@ pencil B(q), whose Tr sqrt is concave, grouped by support rank, on one of
 two paths that ``SimplexOptConfig.polish``, the one setting, selects: set,
 it finishes mirror descent, and each state keeps the lower of the two
 points under mirror descent's evaluator; unset, it runs alone from the
-trace norm's start. Either way the returned value never exceeds the
-objective at the uniform or the dephased point, which downstream code
-relies on for certified upper bounds. Rows never interact, so each
-state's result is bit for bit that of a run on its own, and names its
-method. The distances' ``diag_objective`` evaluators serve mirror descent
-and the tests, where mirror descent, with the trace norm's smoothing
-schedule, is the oracle for the closed forms and the Newton solver, and a
-dense grid search over the simplex the independent verification oracle at
-small dimension.
+trace norm's start, near the dephased state, and values its points on the
+pencil itself, free of the eigenvalue dust of sqrt(rho). Either way the
+returned value never exceeds the objective at the uniform or the dephased
+point, which downstream code relies on for certified upper bounds. Rows
+never interact, so each state's result is bit for bit that of a run on its
+own, and names its method. The distances' ``diag_objective`` evaluators
+serve mirror descent and the tests, where mirror descent, with the trace
+norm's smoothing schedule, is the oracle for the closed forms and the
+Newton solver, and a dense grid search over the simplex the independent
+verification oracle at small dimension.
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ _MAX_ITER = 5000
 # largest first; the smoothing and the barrier each bias the value by at
 # most d * mu
 _BARRIER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-# the fidelity's Newton finish starts from mirror descent's best point mixed
-# with _WARM_MIX of the uniform point, which keeps it off the faces, and runs
-# the weights from 1e-6 down
-_WARM_MIX = 0.1
+# both barriers start from a point mixed with _UNIFORM_MIX of the uniform
+# point, which keeps every q_i >= _UNIFORM_MIX / d: cold from the dephased
+# state through all weights, and the fidelity's finish of mirror descent
+# from its best point through the weights from 1e-6 down
+_UNIFORM_MIX = 0.1
 _WARM_BARRIER = _BARRIER[2:]
 # a stage ends once the squared Newton decrement falls below _DECREMENT * mu,
 # or below _ROUNDOFF * |f_mu|, where no line search can resolve a decrease
@@ -141,8 +143,9 @@ class Distance:
         """One SimplexResult per state of the (N, d, d) stack ``mats`` from a
         Newton run that finishes mirror descent's search from its best
         points ``best`` (N, d), valued by its evaluator ``evaluate``, where
-        ``SimplexOptConfig.polish`` is set, and that replaces the search
-        where it is unset (``best`` None); None for a distance without one."""
+        ``SimplexOptConfig.polish`` is set, and that replaces the search,
+        valued by its own objective, where it is unset (``best`` and
+        ``evaluate`` None); None for a distance without one."""
         return None
 
     def diag_objective(self, mats, mu: float = 0.0):
@@ -247,7 +250,7 @@ class SchattenDistance(Distance):
     def newton_objective(self, mats):
         if self.p != 1.0:
             return None
-        return _SpectralBarrier(mats, _SmoothedModulus, (_dephased(mats) + 1.0 / mats.shape[-1]) / 2.0, _BARRIER)
+        return _SpectralBarrier(mats, _SmoothedModulus, _off_faces(_dephased(mats)), _BARRIER)
 
     def diag_objective(self, mats, mu: float = 0.0):
         m = _stack(mats)
@@ -316,7 +319,7 @@ class OneMinusFidelityDistance(Distance):
     def newton_solve(self, mats, best=None, evaluate=None):
         # pure states put the optimum on a simplex vertex, which mirror
         # descent's multiplicative steps reach only asymptotically
-        return _fidelity_newton(mats, evaluate or self.diag_objective(mats), best)
+        return _fidelity_newton(mats, evaluate, best)
 
     def diag_objective(self, mats, mu: float = 0.0):
         sq = np.stack([linalg.mat_sqrt(m) for m in _stack(mats)])
@@ -539,6 +542,12 @@ def _dephased(rho) -> np.ndarray:
     return q / q.sum(axis=-1, keepdims=True)
 
 
+def _off_faces(q) -> np.ndarray:
+    """The barriers' start: the (N, d) rows q mixed with ``_UNIFORM_MIX`` of
+    the uniform point, so every entry is at least ``_UNIFORM_MIX`` / d."""
+    return (1.0 - _UNIFORM_MIX) * q + _UNIFORM_MIX / q.shape[-1]
+
+
 def _starts(mats: np.ndarray) -> np.ndarray:
     """(N, R, d) starting rows: for each state the uniform point, its
     dephased state and ``_RESTARTS`` Dirichlet draws, the same draws for
@@ -660,12 +669,11 @@ def _daleckii_krein(vec, gam):
     return np.einsum("rikl,rjkl->rij", P * gam[:, None], np.conj(P)).real
 
 
-def _newton_step(g, H, fixed):
-    """The Newton step on the simplex, from the KKT system [[H, 1], [1^T, 0]],
-    and its squared decrement -g . step, rowwise. Where ``fixed`` (R, d) is
-    set, the system's row and column of that index are the identity's, so
-    the step leaves the index where it is."""
-    R, d = g.shape
+def _kkt(H, fixed):
+    """The KKT matrices [[H, 1], [1^T, 0]] of Newton steps on the simplex,
+    rowwise. Where ``fixed`` (R, d) is set, the matrix's row and column of
+    that index are the identity's, so a step leaves the index where it is."""
+    R, d = fixed.shape
     K = np.ones((R, d + 1, d + 1))
     K[:, :d, :d] = H
     K[:, d, d] = 0.0
@@ -674,6 +682,13 @@ def _newton_step(g, H, fixed):
         K[r, i, :] = 0.0
         K[r, :, i] = 0.0
         K[r, i, i] = 1.0
+    return K
+
+
+def _newton_step(K, g):
+    """The step of the KKT matrices K (:func:`_kkt`) against the gradients g
+    and its squared decrement -g . step, rowwise."""
+    R, d = g.shape
     rhs = np.zeros((R, d + 1, 1))
     rhs[:, :d, 0] = -g
     step = np.linalg.solve(K, rhs)[:, :d, 0]
@@ -840,28 +855,32 @@ class _SpectralBarrier:
         return np.sum(self.phi.values(lam, mu[:, None]), axis=1) - mu * np.sum(np.log(Q), axis=1)
 
 
-def _fidelity_newton(mats, evaluate, best=None) -> list:
+def _fidelity_newton(mats, evaluate=None, best=None) -> list:
     """The fidelity's Newton run: :func:`_simplex_newton` on
     :class:`_SpectralBarrier` with phi = :class:`_NegativeRoot` for the
-    states of each support rank r of the (N, d, d) stack ``mats`` in turn,
-    each point valued by ``evaluate`` (``diag_objective`` over the stack);
+    states of each support rank r of the (N, d, d) stack ``mats`` in turn;
     one SimplexResult per state. With rho = U diag(p) U^dag on its support
     (eigenvalues above ``linalg.DUST_REL`` times the largest) and
-    w_i = diag(sqrt p) U^dag e_i, the pencil B(q) = sum_i q_i w_i w_i^dag
-    is an r x r matrix, positive definite for q > 0 and unitarily similar
-    to sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
-    Tr sqrt B(q), concave in q. Where ``SimplexOptConfig.polish`` is set
-    it finishes mirror descent from its best points ``best`` (N, d), mixed
-    with ``_WARM_MIX`` of the uniform point, through ``_WARM_BARRIER``;
-    where it is unset it is the solver, from the trace norm's start
-    (dephased + uniform) / 2 through all of ``_BARRIER`` (``best`` None).
-    A group's rows never meet another's, so each state gets the result of
-    a run on its own."""
-    d = mats.shape[-1]
+    w_i = diag(sqrt p) U^dag e_i, the rows of the (d, r) matrix Z, the
+    pencil B(q) = sum_i q_i w_i w_i^dag = Z^dag diag(q) Z is an r x r
+    matrix, positive definite for q > 0 and unitarily similar to
+    sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
+    Tr sqrt B(q), concave in q. Where ``SimplexOptConfig.polish`` is set it
+    finishes mirror descent from its best points ``best`` (N, d) through
+    ``_WARM_BARRIER``, and each point is valued by mirror descent's
+    evaluator ``evaluate`` (``diag_objective`` over the stack). Where it is
+    unset (``best`` and ``evaluate`` None) it is the solver, from the
+    dephased state through all of ``_BARRIER``, and a point is valued on
+    the pencil itself: 1 - (sum sigma)^2 over the singular values sigma of
+    diag(sqrt q) Z, each accurate to eps times the largest, while the
+    eigenvalues of sqrt(rho) diag(q) sqrt(rho) resolve a small eigenvalue b
+    only to eps ||B||, eps ||B|| / (2 sqrt b) on its root. Both paths start
+    from their point mixed by :func:`_off_faces`. A group's rows never meet
+    another's, so each state gets the result of a run on its own."""
     if best is None:
-        start, schedule = (_dephased(mats) + 1.0 / d) / 2.0, _BARRIER
+        start, schedule = _off_faces(_dephased(mats)), _BARRIER
     else:
-        start, schedule = (1.0 - _WARM_MIX) * best + _WARM_MIX / d, _WARM_BARRIER
+        start, schedule = _off_faces(best), _WARM_BARRIER
     p, U = np.linalg.eigh(mats)
     ranks = np.sum(p > linalg.DUST_REL * p[:, -1:], axis=1)
     results = [None] * len(mats)
@@ -870,8 +889,11 @@ def _fidelity_newton(mats, evaluate, best=None) -> list:
         # eigh sorts ascending: the support is the last r eigenpairs
         Z = U[idx, :, -r:] * np.sqrt(p[idx, None, -r:])
 
-        def exact(s, Q, idx=idx):
-            return evaluate(Q, idx[s], below=np.full(Q.shape[0], -np.inf))[0]
+        def exact(s, Q, idx=idx, Z=Z):
+            if evaluate is not None:
+                return evaluate(Q, idx[s], below=np.full(Q.shape[0], -np.inf))[0]
+            roots = np.linalg.svd(np.sqrt(Q)[:, :, None] * Z[s], compute_uv=False)
+            return 1.0 - np.sum(roots, axis=1) ** 2
 
         barrier = _SpectralBarrier(mats[idx], _NegativeRoot, start[idx], schedule, exact, Z)
         for n, res in zip(idx, _simplex_newton(barrier)):
@@ -911,8 +933,8 @@ def _simplex_newton(objective) -> list:
         mu = mus[stage[rows]]
         f, g, H, g_mu = objective.derivatives(rows, q, mu)
         evals[rows] += 1
-        fixed = objective.fixed[rows]
-        step, dec2 = _newton_step(g, H, fixed)
+        K = _kkt(H, objective.fixed[rows])
+        step, dec2 = _newton_step(K, g)
         passed = dec2 <= np.maximum(_DECREMENT * mu, _ROUNDOFF * np.abs(f))
         stage[rows[passed]] += 1
         go = (stage[rows] < mus.size) & (iters[rows] < _NEWTON_STEPS)
@@ -920,10 +942,10 @@ def _simplex_newton(objective) -> list:
         # passed steps by (mu' - mu) dq/dmu towards the next weight mu'
         jump = go & passed
         if jump.any():
-            tangent = _newton_step(g_mu[jump], H[jump], fixed[jump])[0]
+            tangent = _newton_step(K[jump], g_mu[jump])[0]
             step[jump] = (mus[stage[rows[jump]]] - mu[jump])[:, None] * tangent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.minimum(1.0, _BOUNDARY * np.where(step < 0, -q / step, np.inf).min(axis=1))
+        ratio = np.divide(-q, step, out=np.full_like(step, np.inf), where=step < 0)
+        t = np.minimum(1.0, _BOUNDARY * ratio.min(axis=1))
         Q[rows[jump]] = q[jump] + t[jump, None] * step[jump]
         # Armijo backtracking on the others; each round evaluates the trial
         # points of the rows still searching

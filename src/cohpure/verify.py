@@ -247,7 +247,9 @@ def _cmax_identity(states_, rng) -> list:
             minima.append(correlations._minimum(dist, rotated.mat))
             searches.append(correlations._minima_search(rho.mat[None], search_budget, [rng], None, dist, 1))
     worst_closed, worst_opt, worst_exceed = 0.0, 0.0, 0.0
-    minima, searches = correlations._lockstep(minima, ULTRA_OPT), correlations._lockstep(searches, ULTRA_OPT)
+    # the minima draw nothing, so their round joins the searches' first
+    done = correlations._lockstep(minima + searches, ULTRA_OPT)
+    minima, searches = done[: len(minima)], done[len(minima) :]
     for (name, ceiling), minimum, ((res,), _) in zip(ceilings, minima, searches):
         if name == "rel_entropy":
             worst_closed = max(worst_closed, abs(minimum - ceiling))

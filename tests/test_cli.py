@@ -1,14 +1,18 @@
 """Golden-file and exit-code tests for every CLI command.
 
-Regenerate the goldens with UPDATE_GOLDENS=1 after an intentional
-output-schema change.
+Regenerate the goldens with UPDATE_GOLDENS=1 (and pytest's -s to see
+what moved) after an intentional change: a number within the comparison
+tolerance of its stored value stays as stored, and every rewritten number
+is printed with its old and new value.
 """
 
 import csv
+import difflib
 import io as io_module
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -61,9 +65,55 @@ def assert_close(actual, expected, path="$"):
         assert actual == expected, f"{path}: {actual} != {expected}"
 
 
+# a JSON string (skipped, so a number inside a detail string stays text) or
+# a number standing alone, in JSON or in a CSV field
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?![\w.])')
+
+
+def _numbers(text):
+    """The spans of ``text``'s numbers, and its text with each replaced by #."""
+    spans = [m.span(1) for m in _TOKEN.finditer(text) if m.group(1) is not None]
+    cuts = [0, *(i for span in spans for i in span), len(text)]
+    return spans, "#".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+
+
+def regenerated(stored, text):
+    """``text`` with each number that matches its stored counterpart within
+    the goldens' tolerance (rel 1e-9, abs 1e-9) written as stored, so a
+    regeneration rewrites only the numbers that moved; and one note per
+    rewrite: the line, the old and the new value and their difference, or
+    the old and the new line where text outside the numbers changed. A text
+    with another number of lines is taken whole, its changed lines noted."""
+    old_lines, new_lines = stored.splitlines(keepends=True), text.splitlines(keepends=True)
+    if len(old_lines) != len(new_lines):
+        diff = difflib.unified_diff(stored.splitlines(), text.splitlines(), lineterm="", n=0)
+        return text, [line for line in list(diff)[2:] if not line.startswith("@@")]
+    out, notes = [], []
+    for k, (old, new) in enumerate(zip(old_lines, new_lines), 1):
+        old_spans, old_layout = _numbers(old)
+        new_spans, new_layout = _numbers(new)
+        if old_layout != new_layout:
+            out.append(new)
+            notes.append(f"line {k}: {old.strip()} -> {new.strip()}")
+            continue
+        last = 0
+        for (a, b), (c, d) in zip(old_spans, new_spans):
+            x, y = old[a:b], new[c:d]
+            keep = math.isclose(float(y), float(x), rel_tol=1e-9, abs_tol=1e-9)
+            out += [new[last:c], x if keep else y]
+            last = d
+            if not keep:
+                notes.append(f"line {k}: {x} -> {y} (difference {float(y) - float(x):.3g})")
+        out.append(new[last:])
+    return "".join(out), notes
+
+
 def check_golden(name, text):
     path = GOLDEN / name
     if UPDATE:
+        text, notes = regenerated(path.read_text(), text) if path.exists() else (text, ["new file"])
+        for note in notes:
+            print(f"{name}: {note}")
         path.write_text(text)
     if name.endswith(".json"):
         assert_close(json.loads(text), json.loads(path.read_text()))
@@ -664,3 +714,46 @@ class TestStateFileRoundTrip:
         bad.write_text('{"schema_version": "other", "dim": 2, "matrix": []}')
         with pytest.raises(Exception):
             io.read_state(bad)
+
+
+class TestGoldenRegeneration:
+    def test_round_off_keeps_the_stored_numbers(self):
+        stored = '{\n "purity": 1.9999999999999993,\n "detail": "worst 1.73e-08",\n "gap": 4.9e-10\n}\n'
+        text = '{\n "purity": 2.0,\n "detail": "worst 1.73e-08",\n "gap": -2.2e-16\n}\n'
+        assert regenerated(stored, text) == (stored, [])
+        moved = text.replace("2.0", "2.5")
+        assert regenerated(stored, moved) == (
+            stored.replace("1.9999999999999993", "2.5"),
+            ["line 2: 1.9999999999999993 -> 2.5 (difference 0.5)"],
+        )
+        csv_text = "x,y,value\n-1.0,0.0,3.2e-16\n"
+        assert regenerated(csv_text, "x,y,value\n-1.0,0.0,2.8e-17\n") == (csv_text, [])
+
+    def test_changed_text_is_taken_as_new(self):
+        stored = '[\n{"detail": "worst 1.73e-08", "v": 2.0},\n{"v": 1.0}\n]\n'
+        text = '[\n{"detail": "worst 4.55e-15", "v": 2.0},\n{"v": 1.0000000000000002}\n]\n'
+        assert regenerated(stored, text) == (
+            '[\n{"detail": "worst 4.55e-15", "v": 2.0},\n{"v": 1.0}\n]\n',
+            ['line 2: {"detail": "worst 1.73e-08", "v": 2.0}, -> {"detail": "worst 4.55e-15", "v": 2.0},'],
+        )
+        assert regenerated('{"a": 1.0}\n', '{"a": 1.0,\n "b": 2.0}\n') == (
+            '{"a": 1.0,\n "b": 2.0}\n', ['-{"a": 1.0}', '+{"a": 1.0,', '+ "b": 2.0}']
+        )
+
+    def test_regeneration_of_an_unmoved_tree_is_byte_identical(self, state_files, tmp_path, monkeypatch, capsys):
+        # these three goldens once took round-off moves in their last digits
+        # at every regeneration
+        names = ("quantify_binary.json", "quantify_d4.json", "hierarchy_bell.json")
+        stored = {name: (GOLDEN / name).read_bytes() for name in names}
+        copy = tmp_path / "golden"
+        copy.mkdir()
+        for name in names:
+            (copy / name).write_bytes(stored[name])
+        monkeypatch.setattr(sys.modules[__name__], "GOLDEN", copy)
+        monkeypatch.setattr(sys.modules[__name__], "UPDATE", True)
+        TestQuantify().test_binary_state_golden(state_files)
+        TestQuantify().test_full_rank_d4_golden(tmp_path)
+        TestHierarchy().test_bell_golden(state_files)
+        assert capsys.readouterr().out == ""
+        for name in names:
+            assert (copy / name).read_bytes() == stored[name], name

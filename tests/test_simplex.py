@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohpure import cli
 from cohpure.coherence import c_alpha_result, mcms
-from cohpure.linalg import DomainError, fidelity, haar_unitary, sandwiched_renyi, stream
+from cohpure.io import write_state
+from cohpure.linalg import DomainError, fidelity, haar_unitary, mat_power, sandwiched_renyi, stream
 from cohpure.simplex import (
     _EXP_CLIP,
     _MIN_STEP,
@@ -816,8 +819,9 @@ UNPOLISHED = SimplexOptConfig(polish=False)
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_fidelity_newton_solve_on_pure_states(d):
     # max_q F(psi, diag q) = max_i |psi_i|^2 at a vertex: the Newton point
-    # reaches it up to the barrier's bias, and the evaluator, whose
-    # sqrt(rho) carries eigenvalue dust, reads it within that dust
+    # reaches it up to the barrier's bias, at most d times the last weight,
+    # and its value, taken on the rank-1 pencil, carries no eigenvalue dust,
+    # so it never reads below the exact minimum
     rng = stream(67 + d)
     for _ in range(5):
         psi = haar_unitary(d, rng)[:, 0]
@@ -826,7 +830,7 @@ def test_fidelity_newton_solve_on_pure_states(d):
         exact = 1.0 - float(np.max(np.abs(psi) ** 2))
         assert res.method == "newton" and res.converged
         assert abs(1.0 - fidelity(rho, np.diag(res.q)) - exact) <= 1e-10
-        assert abs(res.value - exact) <= 3e-8
+        assert 0.0 <= res.value - exact <= 1e-11
 
 
 def test_fidelity_newton_solve_stack_of_mixed_ranks():
@@ -844,25 +848,46 @@ def test_fidelity_newton_solve_stack_of_mixed_ranks():
             )
 
 
+def _dust_free_fidelity_distance(rho, q):
+    """1 - F(rho, diag q) = 1 - ||diag(sqrt q) rho^(1/2)||_1^2, with rho's
+    eigenvalue dust dropped (``linalg.mat_power``): free of the solver's
+    pencil and of the dust that sqrt(rho) diag(q) sqrt(rho) carries."""
+    return 1.0 - np.linalg.svd(np.sqrt(q)[:, None] * mat_power(rho, 0.5), compute_uv=False).sum() ** 2
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mats=spectral_stacks(max_d=6, negatives=st.just(3e-11)))
 def test_fidelity_newton_solve_properties(mats):
     # unpolished, no fidelity state runs mirror descent, and each value lies
-    # between 0 and the evaluator's value at the uniform and dephased points
+    # between 0 and the dust-free value at the uniform and dephased points,
+    # up to the round-off of two singular value decompositions
     dist = OneMinusFidelityDistance()
     d = mats.shape[-1]
     with warnings.catch_warnings(), mock.patch("cohpure.simplex._mirror_descent", side_effect=AssertionError):
         warnings.simplefilter("error", RuntimeWarning)
         results = minimize_diags(mats, dist, UNPOLISHED)
-        corners = dist.diag_objective(mats)(
-            np.concatenate([np.full((len(mats), d), 1.0 / d), _dephased(mats)]), np.tile(np.arange(len(mats)), 2)
-        )[0].reshape(2, -1)
-    # each corner value as minimize_diags reports one: round-off in
-    # [-1e-12, 0) reads 0
-    corners = np.where((-1e-12 <= corners) & (corners < 0.0), 0.0, corners)
-    for res, ceiling in zip(results, corners.min(axis=0), strict=True):
-        assert res.method == "newton" and res.converged
-        assert math.isfinite(res.value) and 0.0 <= res.value <= ceiling
+        for m, res in zip(mats, results, strict=True):
+            ceiling = min(_dust_free_fidelity_distance(m, q) for q in (np.full(d, 1.0 / d), _dephased(m)))
+            assert res.method == "newton" and res.converged
+            assert math.isfinite(res.value) and 0.0 <= res.value <= ceiling + 1e-14
+
+
+def test_unpolished_fidelity_builds_no_square_root(tmp_path, capsys):
+    # the unpolished fidelity values its points on the support pencil: no
+    # sqrt(rho) and no mirror descent evaluator, in the library and in the
+    # hierarchy command
+    rng = stream(69)
+    mats = np.stack([random_density(4, rank, rng).mat for rank in (4, 3, 2, 1)])
+    path = tmp_path / "r2.json"
+    write_state(path, random_density(4, 2, stream(60)), dims=(2, 2))
+    refused = mock.Mock(side_effect=AssertionError("sqrt(rho) built"))
+    with mock.patch("cohpure.linalg.mat_sqrt", refused), \
+            mock.patch.object(OneMinusFidelityDistance, "diag_objective", refused):
+        results = minimize_diags(mats, "one_minus_fidelity", UNPOLISHED)
+        assert cli.main(["hierarchy", "--state", str(path), "--dims", "2,2", "--distance", "one_minus_fidelity",
+                         "--restarts", "2", "--refine", "1", "--seed", "61"]) == 0
+    assert json.loads(capsys.readouterr().out)["hierarchy"]["chain_ok"]
+    assert all(res.method == "newton" and res.converged for res in results)
 
 
 @pytest.mark.parametrize("dist", [SchattenDistance(1.0), SandwichedAlphaDivergence(2.0)], ids=lambda d: d.name)

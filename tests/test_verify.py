@@ -73,10 +73,11 @@ class TestBatchedSearches:
         assert len(calls) == 2 * len(MENU)
 
     def test_cmax_identity_one_call_per_distance_and_dim_per_round(self, monkeypatch):
-        # the rotated states take one round; the searches take two rounds
-        # at d <= 4 (Budget(2, 1)) and one at d = 5, 6 (Budget(3, 0))
+        # the rotated states join the searches' first round; the searches
+        # take two rounds at d <= 4 (Budget(2, 1)) and one at d = 5, 6
+        # (Budget(3, 0))
         states_ = [random_density(d, rank, stream(82)) for d in range(2, 7) for rank in (1, d)]
         calls = _counted_calls(monkeypatch)
         checks = verify._cmax_identity(states_, stream(83))
         assert all(c.passed for c in checks)
-        assert Counter(calls) == {(name, d): 3 if d <= 4 else 2 for name in MENU for d in range(2, 7)}
+        assert Counter(calls) == {(name, d): 2 if d <= 4 else 1 for name in MENU for d in range(2, 7)}

@@ -861,8 +861,8 @@ def _fidelity_newton(mats, evaluate=None, best=None) -> list:
     states of each support rank r of the (N, d, d) stack ``mats`` in turn;
     one SimplexResult per state. With rho = U diag(p) U^dag on its support
     (eigenvalues above ``linalg.DUST_REL`` times the largest) and
-    w_i = diag(sqrt p) U^dag e_i, the rows of the (d, r) matrix Z, the
-    pencil B(q) = sum_i q_i w_i w_i^dag = Z^dag diag(q) Z is an r x r
+    w_i = diag(sqrt p) U^dag e_i, the conjugated rows of the (d, r) matrix
+    Z, the pencil B(q) = sum_i q_i w_i w_i^dag = Z^dag diag(q) Z is an r x r
     matrix, positive definite for q > 0 and unitarily similar to
     sqrt(rho) diag(q) sqrt(rho) on the support, so sqrt F(rho, diag q) =
     Tr sqrt B(q), concave in q. Where ``SimplexOptConfig.polish`` is set it
